@@ -103,6 +103,11 @@ let noisy ?(seed = 0xC0FFEE) ?(shots = 1024) ?jobs params =
          shots seed
          (match jobs with None -> "" | Some j -> Printf.sprintf ", jobs=%d" j))
     (fun c ->
+      (* Clifford circuits run as Pauli frames at any width whose outcome
+         fits an int; the statevector cap binds only the others *)
+      if Circuit.num_qubits c > Noise.max_qubits then
+        failf "noisy: %d qubits exceed the %d-bit outcome limit" (Circuit.num_qubits c)
+          Noise.max_qubits;
       let counts = Noise.run_shots ~seed ?jobs params c ~shots in
       let freqs = ref [] in
       Noise.iter_counts

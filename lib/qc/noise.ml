@@ -3,20 +3,39 @@
 
     Pauli-twirled circuit noise: after every gate each touched qubit
     suffers a uniformly random Pauli error with a gate-class-dependent
-    probability, and each final readout bit flips independently. The
-    default parameters are calibrated to published 2017-era IBM QX
-    numbers (≈0.1% single-qubit gate error, ≈2–4% CNOT error, ≈3–8%
-    readout error), which suffices to reproduce the {e shape} of Fig. 6:
-    the correct hidden shift dominates the histogram at p ≈ 0.6 rather
-    than p = 1.
+    probability, and each final readout bit flips independently; [gamma]
+    adds amplitude damping by the trajectory method. The default
+    parameters are calibrated to published 2017-era IBM QX numbers
+    (≈0.1% single-qubit gate error, ≈2–4% CNOT error, ≈3–8% readout
+    error), which suffices to reproduce the {e shape} of Fig. 6: the
+    correct hidden shift dominates the histogram at p ≈ 0.6 rather than
+    p = 1.
 
-    Shots are embarrassingly parallel, and {!run_shots} fans them out
-    over the {!Par} domain pool. Determinism is by construction: shot
+    {!run_shots} runs gate noise on one of two paths:
+    - {b Pauli frames}, for Clifford circuits with [gamma = 0] (the
+      Fig. 4 inner-product circuits among them). The error draws then do
+      not depend on the state, and a Pauli error pushed through the
+      Clifford gates after it is another Pauli at the end. A
+      computational-basis measurement sees only that Pauli's X part, as a
+      bit flip. So a shot is one draw from the noiseless distribution
+      (a {!Stabilizer.sampler}, built once per call), XORed with the X
+      part of the shot's error frame and with the readout flips. This is
+      exact, not an approximation. A shot costs O(gates + n) bit
+      operations and no 2^n memory, so the width limit is the int that
+      holds an outcome ({!max_qubits} = 62), not the statevector's.
+    - {b Gate by gate} ({!run_shot_raw}), for every other circuit and for
+      [gamma > 0]: each shot runs on a fresh 2^n statevector with its
+      sampled errors applied, and shots fan out over the {!Par} domain
+      pool. It is also the frame path's test oracle.
+
+    Both paths draw a shot's errors in the same order from the same
+    stream, so for a given seed they inject the same errors; the outcome
+    draw that follows differs. Determinism is by construction: shot
     [i]'s PRNG state derives from [(seed, i)] through a splitmix64-style
     hash (never from how shots are scheduled), per-domain histograms
-    merge by integer addition, and telemetry accumulates per domain and
-    flushes once from the caller — so any [jobs] count is bit-identical
-    to the [~jobs:1] reference. *)
+    merge by integer addition, the frame path runs on the calling domain,
+    and telemetry accumulates and flushes once from the caller — so any
+    [jobs] count is bit-identical to the [~jobs:1] reference. *)
 
 type params = {
   p1 : float; (* error probability per 1-qubit gate, per qubit *)
@@ -139,17 +158,22 @@ let shot_state ~seed shot =
 (* Single shots                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let random_pauli st q =
+  match Random.State.int st 3 with 0 -> Gate.X q | 1 -> Gate.Y q | _ -> Gate.Z q
+
+(* Readout: each of the [n] measured bits flips independently. *)
+let readout st params n x =
+  let x = ref x in
+  for q = 0 to n - 1 do
+    if Random.State.float st 1. < params.readout then x := !x lxor (1 lsl q)
+  done;
+  !x
+
 (* One noisy execution; returns (measured outcome, injected error count).
    No telemetry — safe to call from pool workers. *)
 let run_shot_raw st params circuit =
   let s = Statevector.init (Circuit.num_qubits circuit) in
   let errors = ref 0 in
-  let random_pauli st q =
-    match Random.State.int st 3 with
-    | 0 -> Gate.X q
-    | 1 -> Gate.Y q
-    | _ -> Gate.Z q
-  in
   Circuit.iter
     (fun g ->
       Statevector.apply s g;
@@ -170,14 +194,7 @@ let run_shot_raw st params circuit =
         qs)
     circuit;
   let outcome = Statevector.sample st s in
-  (* readout flips *)
-  let rec flip q acc =
-    if q >= Circuit.num_qubits circuit then acc
-    else
-      flip (q + 1)
-        (if Random.State.float st 1. < params.readout then acc lxor (1 lsl q) else acc)
-  in
-  (flip 0 outcome, !errors)
+  (readout st params (Circuit.num_qubits circuit) outcome, !errors)
 
 (** [run_shot st params circuit] simulates one noisy execution and returns
     the measured basis state (all qubits, readout errors included). *)
@@ -189,6 +206,89 @@ let run_shot st params circuit =
     Obs.observe "qc.noise.errors_per_shot" (float_of_int errors)
   end;
   result
+
+(* ------------------------------------------------------------------ *)
+(* Pauli frames (Clifford circuits)                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Widest circuit {!run_shots} accepts: an outcome is packed into an
+    int, bits 0–61. *)
+let max_qubits = Stabilizer.max_sample_qubits
+
+(* A Pauli frame is two bitmasks, its X part [fx] and its Z part [fz];
+   signs are dropped, since a computational-basis measurement cannot see
+   them. [conjugate fx fz g] turns the frame P into g·P·g†, the Pauli it
+   becomes once pushed past gate [g] — the tableau's update rules
+   ({!Stabilizer.apply}) on a single row. *)
+let conjugate fx fz (g : Gate.t) =
+  let bit m q = (m lsr q) land 1 in
+  match g with
+  | Gate.H q ->
+      if bit !fx q <> bit !fz q then begin
+        fx := !fx lxor (1 lsl q);
+        fz := !fz lxor (1 lsl q)
+      end
+  | Gate.S q | Gate.Sdg q -> fz := !fz lxor (!fx land (1 lsl q))
+  | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.Mcz [ _ ] -> ()
+  | Gate.Cnot (a, b) ->
+      fx := !fx lxor (bit !fx a lsl b);
+      fz := !fz lxor (bit !fz b lsl a)
+  | Gate.Cz (a, b) | Gate.Mcz [ a; b ] ->
+      fz := !fz lxor (bit !fx b lsl a) lxor (bit !fx a lsl b)
+  | Gate.Swap (a, b) ->
+      let swap m = if bit !m a <> bit !m b then m := !m lxor ((1 lsl a) lor (1 lsl b)) in
+      swap fx;
+      swap fz
+  | g -> raise (Stabilizer.Not_clifford g)
+
+(* Multiply the Pauli error [e] into the frame. *)
+let inject fx fz (e : Gate.t) =
+  match e with
+  | Gate.X q -> fx := !fx lxor (1 lsl q)
+  | Gate.Y q ->
+      fx := !fx lxor (1 lsl q);
+      fz := !fz lxor (1 lsl q)
+  | Gate.Z q -> fz := !fz lxor (1 lsl q)
+  | g -> invalid_arg ("Noise.inject: not a Pauli: " ^ Gate.name g)
+
+(* Push a frame, empty at the start, through [gates]; [after i fx fz]
+   multiplies in the errors that follow gate [i]. *)
+let push_frame gates after =
+  let fx = ref 0 and fz = ref 0 in
+  Array.iteri
+    (fun i g ->
+      conjugate fx fz g;
+      after i fx fz)
+    gates;
+  (!fx, !fz)
+
+(** [frame_after c errors] is the Pauli frame [(x, z)] at the end of the
+    Clifford circuit [c] when each [(i, e)] of [errors] inserts the
+    Pauli gate [e] right after gate [i]: the circuit with those errors
+    measures like [c] with every outcome XORed with [x]. *)
+let frame_after c errors =
+  push_frame (Circuit.to_array c) (fun i fx fz ->
+      List.iter (fun (j, e) -> if j = i then inject fx fz e) errors)
+
+(* One noisy shot of a Clifford circuit by Pauli frame; returns (measured
+   outcome, injected error count). The error draws are those of
+   [run_shot_raw], gate by gate and qubit by qubit; the noiseless outcome
+   then comes from [smp]. [qubits.(i)] is [Gate.qubits gates.(i)]. *)
+let run_frame_shot st params smp gates qubits n =
+  let errors = ref 0 in
+  let fx, _ =
+    push_frame gates (fun i fx fz ->
+        let qs = qubits.(i) in
+        let p = if List.length qs = 1 then params.p1 else params.p2 in
+        List.iter
+          (fun q ->
+            if Random.State.float st 1. < p then begin
+              incr errors;
+              inject fx fz (random_pauli st q)
+            end)
+          qs)
+  in
+  (readout st params n (Stabilizer.sample smp st lxor fx), !errors)
 
 (* ------------------------------------------------------------------ *)
 (* Shot batches                                                        *)
@@ -217,23 +317,34 @@ let sampler_for circuit =
       smp
 
 (** [run_shots ?seed ?jobs params circuit ~shots] returns the histogram of
-    measured basis states over [shots] executions, fanned out over [jobs]
-    worker domains (default {!Par.default_jobs}). The histogram is
-    bit-identical for every [jobs] value: [~jobs:1] defines the reference
-    result. *)
+    measured basis states over [shots] executions. Gate noise on a
+    Clifford circuit with [gamma = 0] takes the Pauli-frame path on the
+    calling domain; other noisy circuits run gate by gate, fanned out
+    over [jobs] worker domains (default {!Par.default_jobs}). The
+    histogram is bit-identical for every [jobs] value: [~jobs:1] defines
+    the reference result. Raises [Invalid_argument] past {!max_qubits}
+    qubits. *)
 let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
   Obs.with_span "qc.noise.run_shots" @@ fun () ->
   let n = Circuit.num_qubits circuit in
+  if n > max_qubits then
+    invalid_arg
+      (Printf.sprintf "noise.width: %d qubits exceed the %d-bit outcome limit of noisy runs"
+         n max_qubits);
   let jobs =
     let j = match jobs with Some j -> max 1 j | None -> Par.default_jobs () in
     min j (max 1 shots)
+  in
+  let noiseless = params.p1 = 0. && params.p2 = 0. && params.gamma = 0. in
+  let frame =
+    (not noiseless) && params.gamma = 0. && Stabilizer.is_clifford_circuit circuit
   in
   if Obs.enabled () then
     Obs.add_attrs
       [ ("shots", Obs.Int shots); ("qubits", Obs.Int n); ("jobs", Obs.Int jobs) ];
   let errors = Array.make (max 1 shots) 0 in
   let counts =
-    if params.p1 = 0. && params.p2 = 0. && params.gamma = 0. then begin
+    if noiseless then begin
       (* Without gate noise every shot runs the same circuit: simulate
          once (memoized across calls — one plan, one sampler CDF), then
          draw each readout from the shared cumulative table (binary
@@ -243,12 +354,21 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
       let c = counts_make n in
       for shot = 0 to shots - 1 do
         let st = shot_state ~seed shot in
-        let x = Statevector.sample_with smp st in
-        let x = ref x in
-        for q = 0 to n - 1 do
-          if Random.State.float st 1. < params.readout then x := !x lxor (1 lsl q)
-        done;
-        counts_add c !x 1
+        counts_add c (readout st params n (Statevector.sample_with smp st)) 1
+      done;
+      c
+    end
+    else if frame then begin
+      (* Pauli frames (see the header): one tableau run and one sampler
+         for the whole batch, then O(gates + n) bit operations a shot. *)
+      let smp = Stabilizer.sampler (Stabilizer.run circuit) in
+      let gates = Circuit.to_array circuit in
+      let qubits = Array.map Gate.qubits gates in
+      let c = counts_make n in
+      for shot = 0 to shots - 1 do
+        let x, e = run_frame_shot (shot_state ~seed shot) params smp gates qubits n in
+        counts_add c x 1;
+        errors.(shot) <- e
       done;
       c
     end
@@ -299,9 +419,18 @@ let success_probability counts target =
 (** [runs_statistics ?seed ?jobs params circuit ~shots ~runs] repeats
     {!run_shots} and reports, per basis state, the mean and standard
     deviation of the outcome frequency across runs — exactly the averaged
-    histogram of the paper's Fig. 6 (3 runs × 1024 shots). *)
+    histogram of the paper's Fig. 6 (3 runs × 1024 shots). Its tables are
+    dense, so it raises [Invalid_argument] past {!sparse_threshold}
+    qubits. *)
 let runs_statistics ?(seed = 7) ?jobs params circuit ~shots ~runs =
-  let size = 1 lsl Circuit.num_qubits circuit in
+  let n = Circuit.num_qubits circuit in
+  if n > sparse_threshold then
+    invalid_arg
+      (Printf.sprintf
+         "noise.width: runs_statistics keeps dense 2^n frequency tables; %d qubits exceed \
+          %d (the noisy backend's sparse histograms have no such limit)"
+         n sparse_threshold);
+  let size = 1 lsl n in
   let freqs = Array.make_matrix runs size 0. in
   for r = 0 to runs - 1 do
     let counts = run_shots ~seed:(seed + (r * 7919)) ?jobs params circuit ~shots in

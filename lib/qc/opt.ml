@@ -50,9 +50,12 @@ let rewrite_once gates =
          if j >= n then ()
          else
            match fuse gates.(i) gates.(j) with
-           | Some replacement ->
+           | Some replacement when List.length replacement < 2 ->
                (* gates i and j fuse; since everything in between is
-                  disjoint from gate i, the replacement stays at j. *)
+                  disjoint from gate i, the replacement stays at j. A
+                  fusion that gives two gates back (S·T, Z·T) is no
+                  rewrite: accepting it would let [simplify] spin on it
+                  until its budget runs out. *)
                let out = ref [] in
                for k = n - 1 downto 0 do
                  if k = j then out := replacement @ !out
@@ -60,7 +63,7 @@ let rewrite_once gates =
                done;
                result := Some (Array.of_list !out);
                raise Exit
-           | None ->
+           | _ ->
                (* phase gates on the same qubit commute with each other even
                   when not fusable with the scan gate *)
                let commutes =

@@ -9,7 +9,9 @@
     {H, S, S†, X, Y, Z, CNOT, CZ, SWAP} and measurement.
 
     The tableau keeps [2n] Pauli rows (destabilizers then stabilizers) over
-    [n] qubits, bit-packed into 64-bit words. *)
+    [n] qubits, bit-packed into 64-bit words. A {!sampler} draws from a
+    state's whole computational-basis distribution without re-running the
+    circuit; {!Noise} pairs it with Pauli frames for noisy shots. *)
 
 type t = {
   n : int;
@@ -261,3 +263,58 @@ let measure_all ?st t =
     if not det then deterministic := false
   done;
   (!out, !deterministic)
+
+(* --- sampling the computational-basis distribution --- *)
+
+(** Widest register whose outcome fits an int: bits 0–61, the same limit
+    as {!measure_all}. *)
+let max_sample_qubits = 62
+
+(** A sampler for the computational-basis outcomes of a stabilizer state.
+    The support of a stabilizer state is an affine space [x0 ⊕ V], with
+    [V] spanned by the X parts of its stabilizer generators, and the
+    outcome distribution is uniform over it. [basis] holds a basis of [V]
+    after Gaussian elimination (distinct leading bits), so each subset of
+    it XORs to a distinct point of [V]. *)
+type sampler = { x0 : int; basis : int array }
+
+let copy t =
+  { t with x = Array.map Array.copy t.x; z = Array.map Array.copy t.z; r = Bytes.copy t.r }
+
+(** [sampler t] builds the sampler of [t]'s state, leaving [t] as it is:
+    one outcome [x0] from {!measure_all} on a copy, plus the eliminated X
+    parts of the stabilizer rows. Raises [Invalid_argument] past
+    {!max_sample_qubits} qubits. *)
+let sampler t =
+  if t.n > max_sample_qubits then
+    invalid_arg
+      (Printf.sprintf "Stabilizer.sampler: %d qubits exceed the %d-bit outcome limit" t.n
+         max_sample_qubits);
+  (* pivot.(k) is the basis vector whose highest set bit is k, or 0 *)
+  let pivot = Array.make t.n 0 in
+  for i = t.n to (2 * t.n) - 1 do
+    let v = ref (Int64.to_int t.x.(i).(0)) and k = ref (t.n - 1) in
+    while !v <> 0 && !k >= 0 do
+      if (!v lsr !k) land 1 = 1 then
+        if pivot.(!k) = 0 then begin
+          pivot.(!k) <- !v;
+          v := 0
+        end
+        else v := !v lxor pivot.(!k);
+      decr k
+    done
+  done;
+  let basis = Array.of_list (List.filter (fun v -> v <> 0) (Array.to_list pivot)) in
+  { x0 = fst (measure_all (copy t)); basis }
+
+(** [sample smp st] draws one outcome: [x0] XORed with a uniformly random
+    subset of the basis, one random bit per basis vector. *)
+let sample smp st =
+  let x = ref smp.x0 and bits = ref 0 in
+  Array.iteri
+    (fun i b ->
+      if i mod 30 = 0 then bits := Random.State.bits st;
+      if !bits land 1 = 1 then x := !x lxor b;
+      bits := !bits lsr 1)
+    smp.basis;
+  !x

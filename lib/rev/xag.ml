@@ -272,12 +272,9 @@ let and_leaves g id =
   | _ -> invalid_arg "Xag.and_leaves");
   !acc
 
-(** [rewrite g] rebuilds the graph bottom-up with XOR-chain and AND-tree
-    cleanup: XOR trees are flattened and pairwise-cancelled (x ⊕ x = 0),
-    AND trees are flattened, deduplicated and contradiction-folded
-    (x ∧ ¬x = 0), and only the output cones are copied, so dead and
-    duplicate nodes vanish. Evaluation is preserved output-for-output. *)
-let rewrite g =
+(* Copy the output cones of [g] into a fresh graph, flattening XOR and AND
+   trees when [flatten] holds. *)
+let rebuild ~flatten g =
   let g' = create g.num_inputs in
   let memo = Hashtbl.create 256 in
   let rec rebuild_signal s =
@@ -291,6 +288,8 @@ let rewrite g =
           match g.nodes.(id) with
           | Const -> const_false
           | Input i -> input g' i
+          | Xor (a, b) when not flatten -> xor g' (rebuild_signal a) (rebuild_signal b)
+          | And (a, b) when not flatten -> and_ g' (rebuild_signal a) (rebuild_signal b)
           | Xor _ ->
               (* flatten, rebuild the leaves, cancel duplicate pairs *)
               let leaves = List.map rebuild_node (xor_leaves g id) in
@@ -322,6 +321,20 @@ let rewrite g =
   in
   List.iter (fun s -> add_output g' (rebuild_signal s)) (outputs g);
   g'
+
+(** [rewrite g] rebuilds the graph bottom-up with XOR-chain and AND-tree
+    cleanup: XOR trees are flattened and pairwise-cancelled (x ⊕ x = 0),
+    AND trees are flattened, deduplicated and contradiction-folded
+    (x ∧ ¬x = 0), and only the output cones are copied, so dead and
+    duplicate nodes vanish. Evaluation is preserved output-for-output.
+    Flattening can duplicate a shared sub-XOR or sub-AND, so when the
+    flattened graph comes out larger than a plain copy of the output
+    cones, the copy is returned: the result never has more nodes than
+    [g]. *)
+let rewrite g =
+  let flat = rebuild ~flatten:true g in
+  let plain = rebuild ~flatten:false g in
+  if num_nodes flat <= num_nodes plain then flat else plain
 
 (* --- truth-table front end --- *)
 

@@ -144,6 +144,24 @@ let test_shots_jobs_invariant () =
         (Noise.counts_equal reference c))
     [ 2; 3; 4 ]
 
+(* [bell3] holds a T gate, so it runs gate by gate; its Clifford twin
+   takes the Pauli-frame path *)
+let ghz3 = Circuit.of_gates 3 [ Gate.H 0; Gate.Cnot (0, 1); Gate.S 1; Gate.Cnot (1, 2) ]
+
+let test_shots_jobs_invariant_clifford () =
+  let reference = Noise.run_shots ~seed:11 ~jobs:1 Noise.ibm_qx2017 ghz3 ~shots:300 in
+  List.iter
+    (fun jobs ->
+      let c = Noise.run_shots ~seed:11 ~jobs Noise.ibm_qx2017 ghz3 ~shots:300 in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d bit-identical" jobs)
+        true
+        (Noise.counts_equal reference c))
+    [ 2; 3; 4 ];
+  let m1, s1 = Noise.runs_statistics ~jobs:1 Noise.ibm_qx2017 ghz3 ~shots:128 ~runs:2 in
+  let m4, s4 = Noise.runs_statistics ~jobs:4 Noise.ibm_qx2017 ghz3 ~shots:128 ~runs:2 in
+  Alcotest.(check bool) "runs_statistics identical" true (m1 = m4 && s1 = s4)
+
 let test_shots_jobs_invariant_noiseless () =
   (* the shared-sampler fast path must honour the same contract *)
   let params = { Noise.noiseless with Noise.readout = 0.1 } in
@@ -159,17 +177,17 @@ let test_runs_statistics_jobs_invariant () =
 
 let test_obs_totals_under_jobs () =
   (* the per-domain accumulate + single flush must preserve counter totals *)
-  let totals jobs =
+  let totals c jobs =
     let m = Obs.Memory.create () in
     Obs.reset ();
     Obs.set_sink (Some (Obs.Memory.sink m));
-    let (_ : Noise.counts) =
-      Noise.run_shots ~seed:3 ~jobs Noise.ibm_qx2017 bell3 ~shots:100
-    in
+    let (_ : Noise.counts) = Noise.run_shots ~seed:3 ~jobs Noise.ibm_qx2017 c ~shots:100 in
     Obs.set_sink None;
     Obs.Summary.counter_totals (Obs.Memory.events m)
   in
-  Alcotest.(check bool) "counter totals jobs-invariant" true (totals 1 = totals 4)
+  Alcotest.(check bool) "counter totals jobs-invariant" true (totals bell3 1 = totals bell3 4);
+  Alcotest.(check bool) "Pauli-frame totals jobs-invariant" true
+    (totals ghz3 1 = totals ghz3 4)
 
 (* --- gate fusion --- *)
 
@@ -313,6 +331,7 @@ let () =
             test_cancel_pool_reusable ] );
       ( "determinism",
         [ Alcotest.test_case "run_shots jobs 1/2/3/4" `Quick test_shots_jobs_invariant;
+          Alcotest.test_case "Pauli-frame path" `Quick test_shots_jobs_invariant_clifford;
           Alcotest.test_case "noiseless fast path" `Quick test_shots_jobs_invariant_noiseless;
           Alcotest.test_case "runs_statistics" `Quick test_runs_statistics_jobs_invariant;
           Alcotest.test_case "telemetry totals" `Quick test_obs_totals_under_jobs ] );

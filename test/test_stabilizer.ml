@@ -152,6 +152,81 @@ let prop_clifford_sampling_consistency =
       let out, _ = Stabilizer.measure_all ~st (Stabilizer.run clifford) in
       probs.(out) > 1e-9)
 
+(* --- the computational-basis sampler --- *)
+
+(* Every point of the sampler's affine support [x0 ⊕ span basis]. *)
+let support (smp : Stabilizer.sampler) =
+  let k = Array.length smp.Stabilizer.basis in
+  List.init (1 lsl k) (fun subset ->
+      let x = ref smp.Stabilizer.x0 in
+      Array.iteri (fun i b -> if (subset lsr i) land 1 = 1 then x := !x lxor b) smp.basis;
+      !x)
+
+let clifford_only n c =
+  Circuit.of_gates n
+    (List.filter
+       (function Gate.T _ | Gate.Tdg _ | Gate.Ccz _ -> false | _ -> true)
+       (Circuit.gates c))
+
+let prop_sampler_support =
+  Helpers.prop "sampler support = nonzero statevector probabilities, uniform" ~count:150
+    QCheck2.Gen.(pair (int_range 1 6) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let n = max 2 n in
+      let c =
+        clifford_only n
+          (QCheck2.Gen.generate1 ~rand:(Helpers.rng seed) (Helpers.qcircuit_gen n 25))
+      in
+      let probs = Statevector.probabilities (Statevector.run c) in
+      let t = Stabilizer.run c in
+      let smp = Stabilizer.sampler t in
+      let pts = support smp in
+      let uniform = 1. /. float_of_int (List.length pts) in
+      (* the sampler leaves the tableau as it was *)
+      Stabilizer.sampler t = smp
+      && List.length (List.sort_uniq compare pts) = List.length pts
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun x p ->
+                if List.mem x pts then Float.abs (p -. uniform) < 1e-9 else p < 1e-9)
+              probs))
+
+let test_sample_uniform () =
+  (* H on three qubits, entangled into two more: 8 equally likely
+     outcomes, and the draws must spread evenly over exactly those *)
+  let c =
+    Circuit.of_gates 5
+      [ Gate.H 0; Gate.H 1; Gate.H 4; Gate.Cnot (0, 2); Gate.Cnot (1, 3); Gate.S 4;
+        Gate.Cz (2, 4) ]
+  in
+  let smp = Stabilizer.sampler (Stabilizer.run c) in
+  let pts = support smp in
+  Alcotest.(check int) "support size" 8 (List.length pts);
+  let st = Helpers.rng 77 and draws = 8000 in
+  let hits = Hashtbl.create 8 in
+  for _ = 1 to draws do
+    let x = Stabilizer.sample smp st in
+    Hashtbl.replace hits x (1 + Option.value ~default:0 (Hashtbl.find_opt hits x))
+  done;
+  Alcotest.(check int) "only support points drawn" 8 (Hashtbl.length hits);
+  let e = float_of_int draws /. 8. in
+  let chi2 =
+    Hashtbl.fold (fun _ k acc -> acc +. (((float_of_int k -. e) ** 2.) /. e)) hits 0.
+  in
+  (* df 7: the 0.1% tail starts at 24.3 *)
+  Alcotest.(check bool) (Printf.sprintf "uniform (chi-square %.1f)" chi2) true (chi2 < 24.3)
+
+let test_sampler_width () =
+  (match Stabilizer.sampler (Stabilizer.create 63) with
+  | _ -> Alcotest.fail "63-qubit sampler accepted"
+  | exception Invalid_argument _ -> ());
+  let t = Stabilizer.create 62 in
+  Stabilizer.apply t (Gate.X 61);
+  Stabilizer.apply t (Gate.H 0);
+  let smp = Stabilizer.sampler t in
+  Alcotest.(check (list int)) "top bit fits" [ 1 lsl 61; (1 lsl 61) lor 1 ]
+    (List.sort compare (support smp))
+
 let () =
   Alcotest.run "stabilizer"
     [ ( "stabilizer",
@@ -167,4 +242,8 @@ let () =
           Alcotest.test_case "agreement with statevector" `Quick test_agreement_with_statevector;
           Alcotest.test_case "48-qubit hidden shift (E10)" `Quick test_wide_hidden_shift;
           Alcotest.test_case "solve_clifford rejects" `Quick test_solve_clifford_rejects;
-          prop_clifford_sampling_consistency ] ) ]
+          prop_clifford_sampling_consistency ] );
+      ( "sampler",
+        [ prop_sampler_support;
+          Alcotest.test_case "draws uniform on the support" `Quick test_sample_uniform;
+          Alcotest.test_case "width" `Quick test_sampler_width ] ) ]

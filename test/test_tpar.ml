@@ -111,6 +111,19 @@ let test_opt_across_disjoint () =
   let c' = Opt.simplify c in
   Alcotest.(check int) "H pair cancels across disjoint CNOT" 1 (Circuit.num_gates c')
 
+let test_opt_two_gate_fusion_is_no_rewrite () =
+  (* S·T and Z·T fuse back into the same two gates (eighths 3 and 5);
+     taking that as a rewrite made [simplify] spin until its budget ran
+     out and never reach the rewrites after it *)
+  let none what gates =
+    Alcotest.(check bool) what true (Opt.rewrite_once gates = None)
+  in
+  none "S T is no rewrite" [| Gate.S 0; Gate.T 0 |];
+  none "Z T is no rewrite" [| Gate.Z 0; Gate.T 0 |];
+  (* a later fusion is still found past such a pair *)
+  let c = Circuit.of_gates 2 [ Gate.S 0; Gate.T 0; Gate.H 1; Gate.H 1 ] in
+  Alcotest.(check int) "H pair after S T cancels" 2 (Circuit.num_gates (Opt.simplify c))
+
 let prop_opt_preserves_unitary =
   Helpers.prop "peephole preserves the unitary exactly" ~count:150
     (Helpers.qcircuit_gen 3 20)
@@ -140,5 +153,7 @@ let () =
         [ Alcotest.test_case "cancellation" `Quick test_opt_cancellation;
           Alcotest.test_case "fusion" `Quick test_opt_fusion;
           Alcotest.test_case "across disjoint" `Quick test_opt_across_disjoint;
+          Alcotest.test_case "two-gate fusion is no rewrite" `Quick
+            test_opt_two_gate_fusion_is_no_rewrite;
           prop_opt_preserves_unitary;
           prop_opt_never_grows ] ) ]

@@ -75,6 +75,23 @@ let prop_of_truth_table =
       Truth_table.equal f (List.hd (Xag.to_truth_tables g))
       && Truth_table.equal f (List.hd (Xag.to_truth_tables (Xag.rewrite g))))
 
+let test_rewrite_never_grows_on_shared_trees () =
+  (* expressions whose flattened XOR/AND trees used to duplicate a
+     shared subtree, one node more than the graph they came from *)
+  List.iter
+    (fun seed ->
+      let e = Logic.Bexpr.random (Helpers.rng seed) ~vars:5 ~depth:4 in
+      let g = Xag.of_bexpr 5 e in
+      let g' = Xag.rewrite g in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d -> %d nodes" seed (Xag.num_nodes g) (Xag.num_nodes g'))
+        true
+        (Xag.num_nodes g' <= Xag.num_nodes g);
+      Helpers.check_tt_eq "same function"
+        (Logic.Bexpr.to_truth_table ~n:5 e)
+        (List.hd (Xag.to_truth_tables g')))
+    [ 201; 210; 413 ]
+
 let test_rewrite_cleanups () =
   (* duplicate XOR operands cancel; contradictory AND trees fold *)
   let g = Xag.create 3 in
@@ -336,6 +353,8 @@ let () =
           prop_rewrite_bexpr;
           prop_of_truth_table;
           Alcotest.test_case "rewrite cleanups" `Quick test_rewrite_cleanups;
+          Alcotest.test_case "rewrite never grows on shared trees" `Quick
+            test_rewrite_never_grows_on_shared_trees;
           Alcotest.test_case "structural key" `Quick test_structural_key ] );
       ( "arith_xag",
         [ Alcotest.test_case "subtractor" `Quick test_xag_subtractor;
