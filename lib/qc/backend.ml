@@ -68,20 +68,37 @@ let outcome_to_string o = Fmt.str "%a" pp_outcome o
 let make ~name ~doc run =
   { name; doc; run = (fun c -> Obs.with_span ("qc.backend." ^ name) (fun () -> run c)) }
 
+(* Noiseless simulation, sparse first: oracle circuits keep a handful of
+   nonzero amplitudes, so [Sparse.run] costs their support, not 2^n.
+   Past [Sparse.budget] it gives up and the dense plan path
+   ([Statevector.run]) runs the circuit from the start. Either way the
+   outcome is the most likely basis state (smallest index on ties), and
+   it is deterministic when its probability is 1 within 1e-6. The span's
+   [support] attribute is the number of nonzero amplitudes of a sparse
+   run, or "dense". *)
 let statevector =
   make ~name:"statevector"
-    ~doc:"dense noiseless simulation; reports the most likely outcome"
+    ~doc:
+      "noiseless simulation, sparse while few amplitudes are nonzero; reports the most \
+       likely outcome"
     (fun c ->
         (* width is bounded by the statevector's own allocation guard
            (DAUTOQ_SV_MAX_QUBITS); refusing here keeps the error a
            Backend.Unsupported like every other target mismatch *)
+        let n = Circuit.num_qubits c in
         let cap = Statevector.max_qubits () in
-        if Circuit.num_qubits c > cap then
-          failf "statevector: %d qubits exceed the dense cap of %d" (Circuit.num_qubits c)
-            cap;
-        let sv = Statevector.run c in
-        let x = Statevector.most_likely sv in
-        Measured { outcome = x; deterministic = Statevector.is_basis_state ~eps:1e-6 sv x })
+        if n > cap then failf "statevector: %d qubits exceed the dense cap of %d" n cap;
+        let measured x p = Measured { outcome = x; deterministic = Float.abs (p -. 1.) < 1e-6 } in
+        match Sparse.run ~budget:(Sparse.budget n) c with
+        | Some s ->
+            if Obs.enabled () then Obs.add_attrs [ ("support", Obs.Int (Sparse.support s)) ];
+            let x = Sparse.most_likely s in
+            measured x (Sparse.prob s x)
+        | None ->
+            if Obs.enabled () then Obs.add_attrs [ ("support", Obs.Str "dense") ];
+            let sv = Statevector.run c in
+            let x = Statevector.most_likely sv in
+            measured x (Statevector.prob sv x))
 
 let stabilizer =
   make ~name:"stabilizer"

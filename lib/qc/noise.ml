@@ -11,31 +11,44 @@
     correct hidden shift dominates the histogram at p ≈ 0.6 rather than
     p = 1.
 
-    {!run_shots} runs gate noise on one of two paths:
-    - {b Pauli frames}, for Clifford circuits with [gamma = 0] (the
-      Fig. 4 inner-product circuits among them). The error draws then do
-      not depend on the state, and a Pauli error pushed through the
-      Clifford gates after it is another Pauli at the end. A
-      computational-basis measurement sees only that Pauli's X part, as a
-      bit flip. So a shot is one draw from the noiseless distribution
-      (a {!Stabilizer.sampler}, built once per call), XORed with the X
-      part of the shot's error frame and with the readout flips. This is
-      exact, not an approximation. A shot costs O(gates + n) bit
-      operations and no 2^n memory, so the width limit is the int that
-      holds an outcome ({!max_qubits} = 62), not the statevector's.
-    - {b Gate by gate} ({!run_shot_raw}), for every other circuit and for
-      [gamma > 0]: each shot runs on a fresh 2^n statevector with its
-      sampled errors applied, and shots fan out over the {!Par} domain
-      pool. It is also the frame path's test oracle.
+    {!run_shots} runs a shot batch on one of three paths:
+    - {b Pauli frames}, for every Clifford circuit with [gamma = 0]
+      (the Fig. 4 inner-product circuits among them), with or without
+      gate and readout noise. The error draws then do not depend on the
+      state, and a Pauli error pushed through the Clifford gates after it
+      is another Pauli at the end. A computational-basis measurement sees
+      only that Pauli's X part, as a bit flip. So a shot is one draw from
+      the noiseless distribution (a {!Stabilizer.sampler}, built once per
+      call), XORed with the X part of the shot's error frame and with the
+      readout flips. This is exact, not an approximation. A shot costs
+      O(gates + n) bit operations and no 2^n memory, so the width limit
+      is the int that holds an outcome ({!max_qubits} = 62), not the
+      statevector's.
+    - {b One shared sample table}, for other circuits without gate noise
+      ([p1 = p2 = gamma = 0]): the circuit is simulated once and every
+      shot draws from its cumulative distribution.
+    - {b Gate by gate, sparse then dense} ({!run_shot_raw}), for every
+      other circuit: each shot applies its gates and sampled errors to a
+      {!Sparse} state, which costs the support of the state, not 2^n —
+      the reversible oracles of the flow keep a few dozen nonzero
+      amplitudes. The first time the support passes {!Sparse.budget}
+      ([2^n / 16]) the shot switches to a dense {!Statevector} and
+      finishes there. Shots fan out over the {!Par} domain pool.
 
-    Both paths draw a shot's errors in the same order from the same
-    stream, so for a given seed they inject the same errors; the outcome
-    draw that follows differs. Determinism is by construction: shot
-    [i]'s PRNG state derives from [(seed, i)] through a splitmix64-style
-    hash (never from how shots are scheduled), per-domain histograms
-    merge by integer addition, the frame path runs on the calling domain,
-    and telemetry accumulates and flushes once from the caller — so any
-    [jobs] count is bit-identical to the [~jobs:1] reference. *)
+    The dense gate-by-gate shot, [run_shot_raw ~budget:0], is the test
+    oracle of the other paths. The sparse and dense representations
+    compute the same amplitudes and draw the same PRNG values in the same
+    order, so a gate-by-gate shot's outcome does not depend on where (or
+    whether) it switches; the frame path injects the same errors for a
+    given seed, but its outcome draw differs. Determinism is by
+    construction: shot [i]'s PRNG state derives from [(seed, i)] through
+    a splitmix64-style hash (never from how shots are scheduled),
+    per-domain histograms merge by integer addition, the frame path runs
+    on the calling domain, and telemetry accumulates and flushes once
+    from the caller — so any [jobs] count is bit-identical to the
+    [~jobs:1] reference. Off the frame path the statevector cap
+    ([DAUTOQ_SV_MAX_QUBITS]) binds, even where a shot would stay
+    sparse. *)
 
 type params = {
   p1 : float; (* error probability per 1-qubit gate, per qubit *)
@@ -169,39 +182,83 @@ let readout st params n x =
   done;
   !x
 
-(* One noisy execution; returns (measured outcome, injected error count).
-   No telemetry — safe to call from pool workers. *)
-let run_shot_raw st params circuit =
-  let s = Statevector.init (Circuit.num_qubits circuit) in
+(* The state of one gate-by-gate shot: sparse while its support stays
+   within the budget, dense from the first gate or error that passes it. *)
+type shot_state = Sp of Sparse.t | Sv of Statevector.t
+
+(* One noisy execution; returns (measured outcome, injected error count,
+   whether the state went dense). The PRNG draws — errors, damping jumps,
+   the final sample — come in the same order on either representation,
+   and the two compute the same amplitudes, so the result does not
+   depend on [budget]. No telemetry — safe to call from pool workers. *)
+let simulate_shot ~budget st params circuit =
+  let n = Circuit.num_qubits circuit in
+  Statevector.check_width n;
+  let state = ref (Sp (Sparse.init n)) and densified = ref false in
+  let settle () =
+    match !state with
+    | Sp s when Sparse.support s > budget ->
+        state := Sv (Sparse.to_statevector s);
+        densified := true
+    | _ -> ()
+  in
+  let apply g =
+    (match !state with Sp s -> Sparse.apply s g | Sv v -> Statevector.apply v g);
+    settle ()
+  in
+  settle ();
   let errors = ref 0 in
   Circuit.iter
     (fun g ->
-      Statevector.apply s g;
+      apply g;
       let qs = Gate.qubits g in
       let p = if List.length qs = 1 then params.p1 else params.p2 in
       List.iter
         (fun q ->
           if Random.State.float st 1. < p then begin
             incr errors;
-            Statevector.apply s (random_pauli st q)
+            apply (random_pauli st q)
           end;
           if params.gamma > 0. then begin
             (* quantum-trajectory amplitude damping *)
-            let p_jump = params.gamma *. Statevector.prob_of_qubit s q in
-            let jump = Random.State.float st 1. < p_jump in
-            Statevector.amplitude_damp s q ~gamma:params.gamma ~jump
+            let p1 =
+              match !state with
+              | Sp s -> Sparse.prob_of_qubit s q
+              | Sv v -> Statevector.prob_of_qubit v q
+            in
+            let jump = Random.State.float st 1. < params.gamma *. p1 in
+            match !state with
+            | Sp s -> Sparse.amplitude_damp s q ~gamma:params.gamma ~jump
+            | Sv v -> Statevector.amplitude_damp v q ~gamma:params.gamma ~jump
           end)
         qs)
     circuit;
-  let outcome = Statevector.sample st s in
-  (readout st params (Circuit.num_qubits circuit) outcome, !errors)
+  let outcome =
+    match !state with Sp s -> Sparse.sample st s | Sv v -> Statevector.sample st v
+  in
+  (readout st params n outcome, !errors, !densified)
+
+(** [run_shot_raw ?budget st params circuit] is one gate-by-gate noisy
+    execution: [(measured outcome, injected error count)]. The state is
+    sparse until its support passes [budget] (default {!Sparse.budget}),
+    dense after; [~budget:0] runs dense from the first gate, the
+    reference the other paths are tested against. The result is the same
+    for every [budget]. No telemetry — safe to call from pool workers. *)
+let run_shot_raw ?budget st params circuit =
+  let budget =
+    match budget with Some b -> b | None -> Sparse.budget (Circuit.num_qubits circuit)
+  in
+  let x, errors, _ = simulate_shot ~budget st params circuit in
+  (x, errors)
 
 (** [run_shot st params circuit] simulates one noisy execution and returns
     the measured basis state (all qubits, readout errors included). *)
 let run_shot st params circuit =
-  let result, errors = run_shot_raw st params circuit in
+  let budget = Sparse.budget (Circuit.num_qubits circuit) in
+  let result, errors, densified = simulate_shot ~budget st params circuit in
   if Obs.enabled () then begin
     Obs.count "qc.noise.shots";
+    Obs.count (if densified then "qc.noise.densified_shots" else "qc.noise.sparse_shots");
     if errors > 0 then Obs.count ~by:errors "qc.noise.errors_injected";
     Obs.observe "qc.noise.errors_per_shot" (float_of_int errors)
   end;
@@ -277,16 +334,18 @@ let frame_after c errors =
 let run_frame_shot st params smp gates qubits n =
   let errors = ref 0 in
   let fx, _ =
-    push_frame gates (fun i fx fz ->
-        let qs = qubits.(i) in
-        let p = if List.length qs = 1 then params.p1 else params.p2 in
-        List.iter
-          (fun q ->
-            if Random.State.float st 1. < p then begin
-              incr errors;
-              inject fx fz (random_pauli st q)
-            end)
-          qs)
+    if params.p1 = 0. && params.p2 = 0. then (0, 0) (* no gate noise: no draws *)
+    else
+      push_frame gates (fun i fx fz ->
+          let qs = qubits.(i) in
+          let p = if List.length qs = 1 then params.p1 else params.p2 in
+          List.iter
+            (fun q ->
+              if Random.State.float st 1. < p then begin
+                incr errors;
+                inject fx fz (random_pauli st q)
+              end)
+            qs)
   in
   (readout st params n (Stabilizer.sample smp st lxor fx), !errors)
 
@@ -317,13 +376,15 @@ let sampler_for circuit =
       smp
 
 (** [run_shots ?seed ?jobs params circuit ~shots] returns the histogram of
-    measured basis states over [shots] executions. Gate noise on a
-    Clifford circuit with [gamma = 0] takes the Pauli-frame path on the
-    calling domain; other noisy circuits run gate by gate, fanned out
-    over [jobs] worker domains (default {!Par.default_jobs}). The
-    histogram is bit-identical for every [jobs] value: [~jobs:1] defines
-    the reference result. Raises [Invalid_argument] past {!max_qubits}
-    qubits. *)
+    measured basis states over [shots] executions. A Clifford circuit with
+    [gamma = 0] takes the Pauli-frame path on the calling domain; without
+    gate noise any other circuit is simulated once and sampled; the rest
+    run gate by gate, sparse then dense, fanned out over [jobs] worker
+    domains (default {!Par.default_jobs}). The histogram is bit-identical
+    for every [jobs] value: [~jobs:1] defines the reference result.
+    Raises [Invalid_argument] past {!max_qubits} qubits, and
+    {!Statevector.Unsupported} when a circuit off the frame path is wider
+    than the statevector cap. *)
 let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
   Obs.with_span "qc.noise.run_shots" @@ fun () ->
   let n = Circuit.num_qubits circuit in
@@ -335,30 +396,28 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     let j = match jobs with Some j -> max 1 j | None -> Par.default_jobs () in
     min j (max 1 shots)
   in
+  let frame = params.gamma = 0. && Stabilizer.is_clifford_circuit circuit in
   let noiseless = params.p1 = 0. && params.p2 = 0. && params.gamma = 0. in
-  let frame =
-    (not noiseless) && params.gamma = 0. && Stabilizer.is_clifford_circuit circuit
-  in
+  if not frame then Statevector.check_width n;
   if Obs.enabled () then
     Obs.add_attrs
       [ ("shots", Obs.Int shots); ("qubits", Obs.Int n); ("jobs", Obs.Int jobs) ];
   let errors = Array.make (max 1 shots) 0 in
+  (* per gate-by-gate shot: did its state go dense? *)
+  let gate_by_gate = not (frame || noiseless) in
+  let densified = Array.make (max 1 shots) false in
+  let budget = Sparse.budget n in
+  let shot_range c lo hi =
+    for shot = lo to hi - 1 do
+      let x, e, d = simulate_shot ~budget (shot_state ~seed shot) params circuit in
+      counts_add c x 1;
+      errors.(shot) <- e;
+      densified.(shot) <- d
+    done;
+    c
+  in
   let counts =
-    if noiseless then begin
-      (* Without gate noise every shot runs the same circuit: simulate
-         once (memoized across calls — one plan, one sampler CDF), then
-         draw each readout from the shared cumulative table (binary
-         search instead of a 2^n scan per shot). Still seeded per shot,
-         so the result is jobs-independent like the general path. *)
-      let smp = sampler_for circuit in
-      let c = counts_make n in
-      for shot = 0 to shots - 1 do
-        let st = shot_state ~seed shot in
-        counts_add c (readout st params n (Statevector.sample_with smp st)) 1
-      done;
-      c
-    end
-    else if frame then begin
+    if frame then begin
       (* Pauli frames (see the header): one tableau run and one sampler
          for the whole batch, then O(gates + n) bit operations a shot. *)
       let smp = Stabilizer.sampler (Stabilizer.run circuit) in
@@ -372,36 +431,40 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
       done;
       c
     end
-    else if jobs = 1 then begin
+    else if noiseless then begin
+      (* Without gate noise every shot runs the same circuit: simulate
+         once (memoized across calls — one plan, one sampler CDF), then
+         draw each readout from the shared cumulative table (binary
+         search instead of a 2^n scan per shot). Still seeded per shot,
+         so the result is jobs-independent like the general path. *)
+      let smp = sampler_for circuit in
       let c = counts_make n in
       for shot = 0 to shots - 1 do
-        let x, e = run_shot_raw (shot_state ~seed shot) params circuit in
-        counts_add c x 1;
-        errors.(shot) <- e
+        let st = shot_state ~seed shot in
+        counts_add c (readout st params n (Statevector.sample_with smp st)) 1
       done;
       c
     end
+    else if jobs = 1 then shot_range (counts_make n) 0 shots
     else
       (* Chunk the shot range; each task accumulates a private histogram
-         (and per-shot error counts at disjoint indices), then the chunks
+         (and per-shot results at disjoint indices), then the chunks
          merge in index order on the calling domain. *)
       Par.with_pool ~jobs (fun pool ->
           Par.map_reduce pool ~tasks:jobs
             ~map:(fun i ->
-              let lo = shots * i / jobs and hi = shots * (i + 1) / jobs in
-              let local = counts_make n in
-              for shot = lo to hi - 1 do
-                let x, e = run_shot_raw (shot_state ~seed shot) params circuit in
-                counts_add local x 1;
-                errors.(shot) <- e
-              done;
-              local)
+              shot_range (counts_make n) (shots * i / jobs) (shots * (i + 1) / jobs))
             ~reduce:counts_merge ~init:(counts_make n))
   in
   (* telemetry accumulated above, flushed once from the calling domain —
      workers never touch the (single-domain) Obs state *)
   if Obs.enabled () then begin
     Obs.count ~by:shots "qc.noise.shots";
+    if gate_by_gate && shots > 0 then begin
+      let dense = Array.fold_left (fun k d -> if d then k + 1 else k) 0 densified in
+      if dense < shots then Obs.count ~by:(shots - dense) "qc.noise.sparse_shots";
+      if dense > 0 then Obs.count ~by:dense "qc.noise.densified_shots"
+    end;
     let total_errors = Array.fold_left ( + ) 0 errors in
     if total_errors > 0 then Obs.count ~by:total_errors "qc.noise.errors_injected";
     for shot = 0 to shots - 1 do

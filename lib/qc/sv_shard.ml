@@ -104,11 +104,11 @@ type t = {
 let alloc_slabs ~slabs ~slab_size =
   Array.init slabs (fun _ -> Array.make slab_size 0.)
 
-(** [init n] is |0…0⟩, sharded per {!slab_bits_for}. Raises {!Unsupported}
-    past {!max_qubits} — a one-line, catchable refusal instead of an
-    allocation crash. *)
-let init n =
-  if n < 1 then invalid_arg "Statevector.init: bad qubit count";
+(** [check_width n] raises {!Unsupported} when [n] qubits exceed
+    {!max_qubits} — a one-line, catchable refusal instead of an
+    allocation crash. Paths that may never allocate the dense state (the
+    sparse shots of {!Noise}) call it too, so the cap binds them alike. *)
+let check_width n =
   let cap = max_qubits () in
   if n > cap then
     raise
@@ -118,7 +118,13 @@ let init n =
              cap of %d qubits; raise DAUTOQ_SV_MAX_QUBITS, or use the \
              stabilizer backend (Clifford circuits) / the noisy backend's \
              sparse histograms for wider runs"
-            n n cap));
+            n n cap))
+
+(** [init n] is |0…0⟩, sharded per {!slab_bits_for}. Raises {!Unsupported}
+    past {!max_qubits} ({!check_width}). *)
+let init n =
+  if n < 1 then invalid_arg "Statevector.init: bad qubit count";
+  check_width n;
   let sb = slab_bits_for n in
   let slabs = 1 lsl (n - sb) and slab_size = 1 lsl sb in
   let s =

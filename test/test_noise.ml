@@ -391,6 +391,306 @@ let test_width_limits () =
   let counts = Noise.run_shots ~seed:4 Noise.ibm_qx2017 (wide 62) ~shots:64 in
   Alcotest.(check int) "62 qubits run" 64 (Noise.total_counts counts)
 
+(* --- the gate-by-gate path: sparse, then dense past the budget --- *)
+
+(* A random circuit over every [Gate.t] constructor ([n >= 4]). *)
+let random_any st n len =
+  let q () = Random.State.int st n in
+  let rec distinct k acc =
+    if List.length acc = k then acc
+    else
+      let x = q () in
+      distinct k (if List.mem x acc then acc else x :: acc)
+  in
+  Circuit.of_gates n
+    (List.init len (fun _ ->
+         match Random.State.int st 17 with
+         | 0 -> Gate.X (q ())
+         | 1 -> Gate.Y (q ())
+         | 2 -> Gate.Z (q ())
+         | 3 | 4 -> Gate.H (q ())
+         | 5 -> Gate.S (q ())
+         | 6 -> Gate.Sdg (q ())
+         | 7 -> Gate.T (q ())
+         | 8 -> Gate.Tdg (q ())
+         | 9 -> Gate.Rz (Random.State.float st 6.2 -. 3.1, q ())
+         | 10 | 11 | 12 -> (
+             match distinct 2 [] with
+             | [ a; b ] -> (
+                 match Random.State.int st 3 with
+                 | 0 -> Gate.Cnot (a, b)
+                 | 1 -> Gate.Cz (a, b)
+                 | _ -> Gate.Swap (a, b))
+             | _ -> assert false)
+         | 13 -> (
+             match distinct 3 [] with [ a; b; c ] -> Gate.Ccx (a, b, c) | _ -> assert false)
+         | 14 -> (
+             match distinct 3 [] with [ a; b; c ] -> Gate.Ccz (a, b, c) | _ -> assert false)
+         | 15 -> (
+             match distinct 4 [] with t :: cs -> Gate.Mcx (cs, t) | [] -> assert false)
+         | _ -> Gate.Mcz (distinct (1 + Random.State.int st 4) [])))
+
+(* [c] with each [(i, e)] of [errors] inserted right after gate [i]. *)
+let with_errors c errors =
+  Circuit.of_gates (Circuit.num_qubits c)
+    (List.concat
+       (List.mapi
+          (fun i g -> g :: List.filter_map (fun (j, e) -> if j = i then Some e else None) errors)
+          (Array.to_list (Circuit.to_array c))))
+
+let prop_sparse_matches_dense =
+  Helpers.prop "sparse = dense, every gate, fixed errors" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Helpers.rng seed in
+      let n = 4 + Random.State.int st 8 in
+      let c = random_any st n (1 + Random.State.int st 60) in
+      let errors =
+        List.init (Random.State.int st 5) (fun _ ->
+            ( Random.State.int st (Circuit.num_gates c),
+              Noise.random_pauli st (Random.State.int st n) ))
+      in
+      let noisy = with_errors c errors in
+      let sp = Sparse.init n and gbg = Statevector.init n in
+      Circuit.iter
+        (fun g ->
+          Sparse.apply sp g;
+          Statevector.apply gbg g)
+        noisy;
+      (* to 1e-9 against the planned dense run; bit for bit in every
+         probability and reduction against dense gate by gate *)
+      let planned = Statevector.run noisy in
+      let dense = Sparse.to_statevector sp in
+      let close = ref true and exact = ref true in
+      for x = 0 to Statevector.size planned - 1 do
+        let a = Statevector.amplitude dense x and b = Statevector.amplitude planned x in
+        if Float.abs (a.re -. b.re) > 1e-9 || Float.abs (a.im -. b.im) > 1e-9 then close := false;
+        if Statevector.prob dense x <> Statevector.prob gbg x then exact := false
+      done;
+      let reductions =
+        List.for_all
+          (fun q -> Sparse.prob_of_qubit sp q = Statevector.prob_of_qubit gbg q)
+          (List.init n Fun.id)
+        && Sparse.most_likely sp = Statevector.most_likely gbg
+        && List.for_all
+             (fun k ->
+               Sparse.sample (Helpers.rng k) sp = Statevector.sample (Helpers.rng k) gbg)
+             [ 1; 2; 3; 4; 5 ]
+      in
+      !close && !exact && reductions)
+
+(* Shots of [c] on the default budget and on the dense oracle, seed by
+   seed: identical outcomes and error counts. *)
+let check_same_shots ?(params = Noise.ibm_qx2017) what c ~seed ~shots =
+  for shot = 0 to shots - 1 do
+    let st () = Noise.shot_state ~seed shot in
+    let sparse = Noise.run_shot_raw (st ()) params c in
+    let dense = Noise.run_shot_raw ~budget:0 (st ()) params c in
+    let unbounded = Noise.run_shot_raw ~budget:max_int (st ()) params c in
+    if sparse <> dense || unbounded <> dense then
+      Alcotest.failf "%s: shot %d differs from the dense oracle" what shot
+  done
+
+(* Nine qubits, budget 2^9 / 16 = 32: a permutation-with-phases prefix,
+   then H on every qubit spreads the support to 512 in mid-shot. *)
+let crossing =
+  let n = 9 in
+  Circuit.of_gates n
+    ([ Gate.X 0; Gate.T 0; Gate.Cnot (0, 3); Gate.Ccx (0, 3, 5); Gate.Tdg 5; Gate.H 2 ]
+    @ List.init n (fun q -> Gate.H q)
+    @ [ Gate.T 1; Gate.Ccx (1, 2, 4); Gate.S 4; Gate.Cnot (4, 8); Gate.H 8; Gate.Tdg 3 ])
+
+let events_of f =
+  let m = Obs.Memory.create () in
+  Obs.reset ();
+  Obs.set_sink (Some (Obs.Memory.sink m));
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) f;
+  Obs.Memory.events m
+
+let test_sparse_crosses_budget () =
+  Alcotest.(check int) "budget of 9 qubits" 32 (Sparse.budget 9);
+  Alcotest.(check bool) "noiseless run passes the budget" true
+    (Sparse.run ~budget:(Sparse.budget 9) crossing = None);
+  check_same_shots "crossing" crossing ~seed:17 ~shots:200;
+  let totals =
+    Obs.Summary.counter_totals
+      (events_of (fun () ->
+           ignore (Noise.run_shots ~seed:17 ~jobs:1 Noise.ibm_qx2017 crossing ~shots:50)))
+  in
+  Alcotest.(check (option int)) "every shot went dense" (Some 50)
+    (List.assoc_opt "qc.noise.densified_shots" totals);
+  Alcotest.(check (option int)) "no shot stayed sparse" None
+    (List.assoc_opt "qc.noise.sparse_shots" totals)
+
+let test_sparse_damping () =
+  (* gamma > 0: damping draws read prob_of_qubit, so the sparse sums must
+     equal the dense ones; 15 qubits take the blocked dense reduction *)
+  let params = { Noise.ibm_qx2017 with Noise.gamma = 0.05 } in
+  let st = Helpers.rng 23 in
+  for k = 1 to 6 do
+    let c = random_any st 8 60 in
+    check_same_shots ~params (Printf.sprintf "8 qubits, circuit %d" k) c ~seed:k ~shots:40
+  done;
+  let wide =
+    Circuit.of_gates 15
+      ([ Gate.H 0; Gate.H 14; Gate.X 7; Gate.T 14; Gate.Ccx (0, 14, 3); Gate.H 9 ]
+      @ List.init 15 (fun q -> Gate.T q)
+      @ [ Gate.Cnot (3, 12); Gate.Tdg 12; Gate.H 3; Gate.Swap (9, 1) ])
+  in
+  Alcotest.(check bool) "wider than the sequential reduction" true
+    (1 lsl 15 > Statevector.par_threshold);
+  check_same_shots ~params "15 qubits" wide ~seed:5 ~shots:4
+
+(* Circuits the service and the corpus run: the spec pool as the
+   service compiles it, and the corpus entries lowered the way the
+   corpus lowers them. *)
+let pool_circuits =
+  lazy
+    (Array.to_list
+       (Array.mapi
+          (fun i spec ->
+            let req =
+              { Serve.tenant = "t"; spec; pipeline = None; backend = "noisy"; shots = 1;
+                deadline_us = 0. }
+            in
+            (Printf.sprintf "spec_pool.(%d)" i, fst (Serve.compile_request ~level:0 req)))
+          (Lazy.force Serve.Load.spec_pool)))
+
+let corpus_circuits =
+  lazy
+    (List.map
+       (fun e ->
+         let raw, _ = Corpus.build e in
+         (Corpus.entry_name e, Opt.simplify (Tpar.optimize (fst (Clifford_t.compile raw)))))
+       Corpus.default_manifest)
+
+(* The dense references below cost 2^n memory and time; past 21 qubits
+   (corpus cmp:8 at 25 qubits: 29 s and 512 MB a dense run) they are
+   left out of the suite. *)
+let dense_affordable (_, c) = Circuit.num_qubits c <= 21
+
+let test_sparse_vs_oracle () =
+  (* non-Clifford circuits: a chi-square of run_shots against the dense
+     oracle (other seeds) where the oracle's shots are cheap (2^n × gates
+     ≤ 2^19, about 1 ms each); the others compare shot by shot, up to 17
+     qubits (a dense 17-qubit shot costs about 200 ms) *)
+  let cases =
+    List.filter
+      (fun (_, c) -> Circuit.num_qubits c <= 17 && not (Stabilizer.is_clifford_circuit c))
+      (Lazy.force corpus_circuits @ Lazy.force pool_circuits)
+  in
+  List.iter
+    (fun (name, c) ->
+      let n = Circuit.num_qubits c in
+      if (1 lsl n) * Circuit.num_gates c > 1 lsl 19 then
+        check_same_shots name c ~seed:9 ~shots:3
+      else begin
+        let shots = 200 and seeds = 2 in
+        let fast = Array.make (1 lsl n) 0 and oracle = Array.make (1 lsl n) 0 in
+        for k = 1 to seeds do
+          Noise.iter_counts
+            (fun x m -> fast.(x) <- fast.(x) + m)
+            (Noise.run_shots ~seed:k ~jobs:1 Noise.ibm_qx2017 c ~shots);
+          for shot = 0 to shots - 1 do
+            let x, _ =
+              Noise.run_shot_raw ~budget:0
+                (Noise.shot_state ~seed:(1000 + k) shot)
+                Noise.ibm_qx2017 c
+            in
+            oracle.(x) <- oracle.(x) + 1
+          done
+        done;
+        let stat, df = chi_square fast oracle in
+        let bound = float_of_int df +. (4. *. sqrt (2. *. float_of_int df)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: chi-square %.1f < %.1f (df %d)" name stat bound df)
+          true (stat < bound)
+      end)
+    cases
+
+let test_sparse_backend_equivalence () =
+  (* sparse-first Backend.statevector = the dense plan path, outcome and
+     deterministic flag, on every corpus entry and spec-pool spec *)
+  List.iter
+    (fun (name, c) ->
+      let sv = Statevector.run c in
+      let x = Statevector.most_likely sv in
+      let dense = (x, Statevector.is_basis_state ~eps:1e-6 sv x) in
+      match Backend.statevector.Backend.run c with
+      | Backend.Measured { outcome; deterministic } ->
+          Alcotest.(check (pair int bool)) name dense (outcome, deterministic)
+      | _ -> Alcotest.failf "%s: expected a measurement" name)
+    (List.filter dense_affordable (Lazy.force corpus_circuits @ Lazy.force pool_circuits))
+
+let test_sparse_telemetry () =
+  let _, addeq = List.nth (Lazy.force pool_circuits) 11 in
+  Alcotest.(check int) "addeq:3 oracle width" 17 (Circuit.num_qubits addeq);
+  let totals =
+    Obs.Summary.counter_totals
+      (events_of (fun () ->
+           ignore (Noise.run_shots ~seed:2 ~jobs:1 Noise.ibm_qx2017 addeq ~shots:24)))
+  in
+  Alcotest.(check (option int)) "sparse shots" (Some 24)
+    (List.assoc_opt "qc.noise.sparse_shots" totals);
+  Alcotest.(check (option int)) "no densified shot" None
+    (List.assoc_opt "qc.noise.densified_shots" totals);
+  (* the frame path counts neither *)
+  let totals =
+    Obs.Summary.counter_totals
+      (events_of (fun () ->
+           ignore (Noise.run_shots ~seed:2 ~jobs:1 Noise.ibm_qx2017 bell ~shots:24)))
+  in
+  Alcotest.(check bool) "frame shots uncounted" true
+    (not
+       (List.mem_assoc "qc.noise.sparse_shots" totals
+       || List.mem_assoc "qc.noise.densified_shots" totals));
+  (* the backend span names the representation that ran *)
+  let support c =
+    List.filter_map
+      (function
+        | Obs.Span_end { name = "qc.backend.statevector"; attrs; _ } ->
+            List.assoc_opt "support" attrs
+        | _ -> None)
+      (events_of (fun () -> ignore (Backend.statevector.Backend.run c)))
+  in
+  (match support addeq with
+  | [ Obs.Int k ] ->
+      Alcotest.(check bool) "sparse support recorded" true (k >= 1 && k <= Sparse.budget 17)
+  | _ -> Alcotest.fail "addeq:3: expected one integer support attribute");
+  match support (Circuit.of_gates 6 (List.init 6 (fun q -> Gate.H q))) with
+  | [ Obs.Str "dense" ] -> ()
+  | _ -> Alcotest.fail "uniform superposition: expected support = dense"
+
+let test_readout_only_clifford () =
+  (* gate noise off, readout on: Clifford circuits take the tableau path
+     at any width, past the statevector cap too *)
+  let s = 0x2_7C41_D05B land ((1 lsl 40) - 1) in
+  let c, _ = Core.Hidden_shift.build_compiled (Core.Hidden_shift.Inner_product { n = 20; s }) in
+  Alcotest.(check bool) "wider than the statevector cap" true
+    (Circuit.num_qubits c > Statevector.max_qubits ());
+  let params = { Noise.noiseless with Noise.readout = 0.05 } in
+  (match (Backend.noisy ~seed:6 ~shots:2048 params).Backend.run c with
+  | Backend.Histogram ((mode, _) :: _) -> Alcotest.(check int) "mode is the shift" s mode
+  | _ -> Alcotest.fail "expected a histogram");
+  let counts = Noise.run_shots ~seed:6 Noise.noiseless c ~shots:64 in
+  Alcotest.(check int) "noiseless: every shot is the shift" 64 (Noise.count counts s)
+
+let test_sparse_width_cap () =
+  (* off the frame path the statevector cap binds, sparse or not *)
+  let t_circuit = Circuit.of_gates 9 [ Gate.H 0; Gate.T 0; Gate.Cnot (0, 8) ] in
+  let clifford = Circuit.of_gates 9 [ Gate.H 0; Gate.S 0; Gate.Cnot (0, 8) ] in
+  Unix.putenv "DAUTOQ_SV_MAX_QUBITS" "8";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "DAUTOQ_SV_MAX_QUBITS" "")
+    (fun () ->
+      (match Noise.run_shots ~seed:1 Noise.ibm_qx2017 t_circuit ~shots:4 with
+      | _ -> Alcotest.fail "9-qubit T circuit accepted under an 8-qubit cap"
+      | exception Statevector.Unsupported msg ->
+          Alcotest.(check bool) "refusal names sv.alloc" true
+            (Helpers.contains ~needle:"sv.alloc:" msg));
+      Alcotest.(check int) "Clifford circuits still run" 4
+        (Noise.total_counts (Noise.run_shots ~seed:1 Noise.ibm_qx2017 clifford ~shots:4)))
+
 let () =
   Alcotest.run "noise"
     [ ( "noise",
@@ -414,4 +714,15 @@ let () =
           Alcotest.test_case "frame vs gate by gate" `Quick test_frame_vs_gate_by_gate;
           Alcotest.test_case "frame counters" `Quick test_frame_counters;
           Alcotest.test_case "40-qubit inner product" `Quick test_frame_wide_inner_product;
-          Alcotest.test_case "width limits" `Quick test_width_limits ] ) ]
+          Alcotest.test_case "width limits" `Quick test_width_limits ] );
+      (* suite names stay at most five characters: Alcotest cuts long test
+         names to a width that shrinks as the longest suite name grows *)
+      ( "gates",
+        [ prop_sparse_matches_dense;
+          Alcotest.test_case "support crosses the budget" `Quick test_sparse_crosses_budget;
+          Alcotest.test_case "amplitude damping" `Quick test_sparse_damping;
+          Alcotest.test_case "run_shots vs dense oracle" `Quick test_sparse_vs_oracle;
+          Alcotest.test_case "backend equivalence gate" `Quick test_sparse_backend_equivalence;
+          Alcotest.test_case "telemetry" `Quick test_sparse_telemetry;
+          Alcotest.test_case "readout-only Clifford" `Quick test_readout_only_clifford;
+          Alcotest.test_case "width cap" `Quick test_sparse_width_cap ] ) ]

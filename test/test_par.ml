@@ -162,6 +162,54 @@ let test_shots_jobs_invariant_clifford () =
   let m4, s4 = Noise.runs_statistics ~jobs:4 Noise.ibm_qx2017 ghz3 ~shots:128 ~runs:2 in
   Alcotest.(check bool) "runs_statistics identical" true (m1 = m4 && s1 = s4)
 
+(* The gate-by-gate path, sparse then dense: the 17-qubit addeq:3
+   oracle of the service's spec pool stays sparse, and [spread] goes
+   dense in mid-shot (support 2^9 past its budget of 32). *)
+let addeq3 =
+  lazy
+    (let spec = Core.Flow.Xag_spec (Rev.Arith.xag_add_equals 3) in
+     fst
+       (Serve.compile_request ~level:0
+          { Serve.tenant = "t"; spec; pipeline = None; backend = "noisy"; shots = 1;
+            deadline_us = 0. }))
+
+let spread =
+  Circuit.of_gates 9
+    ((Gate.T 0 :: List.init 9 (fun q -> Gate.H q)) @ [ Gate.Ccx (0, 1, 2); Gate.Tdg 2; Gate.H 5 ])
+
+let test_shots_jobs_invariant_sparse () =
+  List.iter
+    (fun (name, c) ->
+      let run jobs =
+        let m = Obs.Memory.create () in
+        Obs.reset ();
+        Obs.set_sink (Some (Obs.Memory.sink m));
+        let counts =
+          Fun.protect
+            ~finally:(fun () -> Obs.set_sink None)
+            (fun () -> Noise.run_shots ~seed:13 ~jobs Noise.ibm_qx2017 c ~shots:120)
+        in
+        let totals = Obs.Summary.counter_totals (Obs.Memory.events m) in
+        ( counts,
+          List.filter
+            (fun (k, _) ->
+              List.mem k [ "qc.noise.sparse_shots"; "qc.noise.densified_shots"; "qc.noise.errors_injected" ])
+            totals )
+      in
+      let reference, ref_totals = run 1 in
+      List.iter
+        (fun jobs ->
+          let counts, totals = run jobs in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs=%d bit-identical" name jobs)
+            true
+            (Noise.counts_equal reference counts);
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s: jobs=%d counters" name jobs)
+            ref_totals totals)
+        [ 2; 3; 4 ])
+    [ ("addeq:3", Lazy.force addeq3); ("spread", spread) ]
+
 let test_shots_jobs_invariant_noiseless () =
   (* the shared-sampler fast path must honour the same contract *)
   let params = { Noise.noiseless with Noise.readout = 0.1 } in
@@ -332,6 +380,7 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "run_shots jobs 1/2/3/4" `Quick test_shots_jobs_invariant;
           Alcotest.test_case "Pauli-frame path" `Quick test_shots_jobs_invariant_clifford;
+          Alcotest.test_case "sparse-then-dense path" `Quick test_shots_jobs_invariant_sparse;
           Alcotest.test_case "noiseless fast path" `Quick test_shots_jobs_invariant_noiseless;
           Alcotest.test_case "runs_statistics" `Quick test_runs_statistics_jobs_invariant;
           Alcotest.test_case "telemetry totals" `Quick test_obs_totals_under_jobs ] );
