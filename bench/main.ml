@@ -193,9 +193,10 @@ let tests =
         (stage (fun () ->
              Core.Oracle_algorithms.bernstein_vazirani ~n:8 ~a:0b10110101 ~b:false));
       (* PR 3: the multicore execution runtime. Sequential vs pooled shot
-         batches at the paper's 1024-shot volume, and the fusion prepass
-         on a T-heavy 16-qubit workload (above the kernel-parallelism
-         threshold, so the fused run also exercises the chunked sweeps). *)
+         batches at the paper's 1024-shot volume, and the planned run
+         against the unfused reference on a T-heavy 16-qubit workload
+         (above the kernel-parallelism threshold, so both split the
+         state over the pool). *)
       Test.make ~name:"par_shots_1024_seq"
         (stage (fun () ->
              Qc.Noise.run_shots ~seed:42 ~jobs:1 Qc.Noise.ibm_qx2017 e1_circuit

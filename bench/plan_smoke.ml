@@ -2,12 +2,12 @@
 
    Runs the qasm_tool `sim` subcommand on a 12-qubit circuit that is wide
    enough to engage the plan layer (fuse_min_qubits = 10), three ways:
-   planned at --jobs 1, planned at --jobs 4, and with --no-plan (the legacy
-   fusion prepass). Guards:
+   on one slab at --jobs 1, on one slab at --jobs 4, and on 8-amplitude
+   slabs (--shard-bits 3, so the cross-slab kernels run). Guards:
 
-   1. all three runs print byte-identical stdout — the plan layer and the
-      worker count never change simulation results, not even in the last
-      printed digit;
+   1. all three runs print byte-identical stdout — neither the slab
+      layout nor the worker count changes simulation results, not even
+      in the last printed digit;
    2. the planned run's trace records a nonzero sv.plan.blocks counter —
       the plan layer actually formed fused blocks (the counter is only
       emitted when blocks > 0, so presence is the check). *)
@@ -72,17 +72,19 @@ let () =
     [ "--jobs"; "1"; "--trace-out"; tmp "planned.trace" ]
     ~out:(tmp "planned_j1.out");
   run cli qasm_file [ "--jobs"; "4" ] ~out:(tmp "planned_j4.out");
-  run cli qasm_file [ "--jobs"; "1"; "--no-plan" ] ~out:(tmp "legacy.out");
+  run cli qasm_file [ "--jobs"; "1"; "--shard-bits"; "3" ]
+    ~out:(tmp "sharded.out");
   let j1 = read_file (tmp "planned_j1.out") in
   let j4 = read_file (tmp "planned_j4.out") in
-  let legacy = read_file (tmp "legacy.out") in
+  let sharded = read_file (tmp "sharded.out") in
   if String.length j1 = 0 then die "planned run printed no probabilities";
   if j1 <> j4 then die "planned output differs between --jobs 1 and --jobs 4";
-  if j1 <> legacy then die "planned and --no-plan outputs differ";
+  if j1 <> sharded then die "one-slab and --shard-bits 3 outputs differ";
   let trace = read_file (tmp "planned.trace") in
   if not (contains trace "sv.plan.blocks") then
     die "trace records no sv.plan.blocks — the plan layer formed no blocks";
-  Printf.printf "plan smoke: OK (planned = legacy, jobs-invariant, blocks formed)\n";
+  Printf.printf
+    "plan smoke: OK (one slab = 8-amplitude slabs, jobs-invariant, blocks formed)\n";
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);

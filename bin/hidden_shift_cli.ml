@@ -103,10 +103,9 @@ let run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
    trace loadable in Perfetto, anything else a human table). With --cache
    DIR the compilation cache persists into DIR and a hit/miss summary goes
    to stderr; --no-cache disables memoization entirely. *)
-let with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out body =
+let with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~trace_out body =
   Option.iter Par.set_default_jobs jobs;
   Qc.Statevector.set_shard_bits shard_bits;
-  if no_plan then Qc.Statevector.set_plan_enabled false;
   if no_cache then Cache.set_enabled false;
   if not no_cache then Option.iter (fun d -> Cache.set_dir (Some d)) cache_dir;
   let recorder = Option.map (fun _ -> Obs.Memory.create ()) trace_out in
@@ -141,9 +140,9 @@ let with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out body
         budget required;
       exit 2
 
-let run instance ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~noisy ~shots ~runs
+let run instance ~jobs ~shard_bits ~cache_dir ~no_cache ~noisy ~shots ~runs
     ~draw ~qasm ~passes ~target ~trace_out ~faults ~max_retries ~deadline =
-  with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out (fun () ->
+  with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~trace_out (fun () ->
       run instance ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~faults
         ~max_retries ~deadline)
 
@@ -195,15 +194,6 @@ let no_cache_arg =
     & flag
     & info [ "no-cache" ]
         ~doc:"Disable the in-memory compilation cache (identical results; only timing changes).")
-
-let no_plan_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-plan" ]
-        ~doc:
-          "Disable the statevector kernel-plan layer and fall back to the \
-           legacy gate-fusion prepass (identical results; only timing changes).")
 
 let passes_arg =
   Arg.(
@@ -263,17 +253,17 @@ let deadline_arg =
 
 let ip_cmd =
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Half the qubit count (f is on 2n qubits).") in
-  let go n s jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw qasm
+  let go n s jobs shard_bits cache_dir no_cache noisy shots runs draw qasm
       passes target trace_out faults max_retries deadline =
     run (Core.Hidden_shift.Inner_product { n; s }) ~jobs ~shard_bits ~cache_dir
-      ~no_cache ~no_plan ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
+      ~no_cache ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
       ~faults ~max_retries ~deadline
   in
   Cmd.v
     (Cmd.info "ip" ~doc:"Inner-product instance (the paper's Fig. 4).")
     Term.(
       const go $ n $ shift_arg $ jobs_arg $ shard_bits_arg $ cache_dir_arg
-      $ no_cache_arg $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
+      $ no_cache_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
       $ target_arg $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
 
 let mm_cmd =
@@ -284,36 +274,36 @@ let mm_cmd =
       & info [ "pi" ] ~doc:"Permutation as comma-separated points, e.g. 0,2,3,5,7,1,4,6.")
   in
   let synth = Arg.(value & opt synth_conv Pq.Oracles.Tbs & info [ "synth" ] ~doc:"tbs | tbs-basic | dbs.") in
-  let go pi s synth jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw
+  let go pi s synth jobs shard_bits cache_dir no_cache noisy shots runs draw
       qasm passes target trace_out faults max_retries deadline =
     let mm = Logic.Bent.mm pi in
     run (Core.Hidden_shift.Mm { mm; s; synth }) ~jobs ~shard_bits ~cache_dir
-      ~no_cache ~no_plan ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
+      ~no_cache ~noisy ~shots ~runs ~draw ~qasm ~passes ~target ~trace_out
       ~faults ~max_retries ~deadline
   in
   Cmd.v
     (Cmd.info "mm" ~doc:"Maiorana-McFarland instance (the paper's Fig. 7).")
     Term.(
       const go $ pi $ shift_arg $ synth $ jobs_arg $ shard_bits_arg $ cache_dir_arg
-      $ no_cache_arg $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
+      $ no_cache_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg
       $ target_arg $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
 
 let random_cmd =
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Half register size (2n qubits).") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let go n seed jobs shard_bits cache_dir no_cache no_plan noisy shots runs draw qasm
+  let go n seed jobs shard_bits cache_dir no_cache noisy shots runs draw qasm
       passes target trace_out faults max_retries deadline =
     let st = Random.State.make [| seed |] in
     let inst = Core.Hidden_shift.random_mm_instance st n in
     Printf.printf "random MM instance, planted shift %d\n" (Core.Hidden_shift.shift inst);
-    run inst ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~noisy ~shots ~runs
+    run inst ~jobs ~shard_bits ~cache_dir ~no_cache ~noisy ~shots ~runs
       ~draw ~qasm ~passes ~target ~trace_out ~faults ~max_retries ~deadline
   in
   Cmd.v
     (Cmd.info "random" ~doc:"Random Maiorana-McFarland instance.")
     Term.(
       const go $ n $ seed $ jobs_arg $ shard_bits_arg $ cache_dir_arg $ no_cache_arg
-      $ no_plan_arg $ noisy $ shots $ runs $ draw $ qasm $ passes_arg $ target_arg
+      $ noisy $ shots $ runs $ draw $ qasm $ passes_arg $ target_arg
       $ trace_out_arg $ faults_arg $ max_retries_arg $ deadline_arg)
 
 (* --- the XAG oracle pipeline (wide arithmetic predicates) --- *)
@@ -388,9 +378,9 @@ let run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target () =
       print_endline (Qc.Backend.outcome_to_string (backend.Qc.Backend.run circuit))
 
 let oracle_cmd =
-  let go spec lut_k ancilla_budget jobs shard_bits cache_dir no_cache no_plan draw
+  let go spec lut_k ancilla_budget jobs shard_bits cache_dir no_cache draw
       qasm target trace_out =
-    with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~no_plan ~trace_out
+    with_session ~jobs ~shard_bits ~cache_dir ~no_cache ~trace_out
       (run_oracle ~spec ~lut_k ~ancilla_budget ~draw ~qasm ~target)
   in
   Cmd.v
@@ -401,7 +391,7 @@ let oracle_cmd =
           ancilla schedule).")
     Term.(
       const go $ oracle_xag_arg $ lut_k_arg $ ancilla_budget_arg $ jobs_arg
-      $ shard_bits_arg $ cache_dir_arg $ no_cache_arg $ no_plan_arg $ draw $ qasm
+      $ shard_bits_arg $ cache_dir_arg $ no_cache_arg $ draw $ qasm
       $ target_arg $ trace_out_arg)
 
 let () =

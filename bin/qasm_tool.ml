@@ -85,17 +85,6 @@ let extract_shard_bits argv =
   in
   scan [] argv
 
-(* [--no-plan] (anywhere on the command line) disables the statevector
-   kernel-plan layer and falls back to the legacy fusion prepass —
-   the escape hatch for comparing or bisecting plan execution. *)
-let extract_no_plan argv =
-  let rec scan off acc = function
-    | "--no-plan" :: rest -> scan true acc rest
-    | a :: rest -> scan off (a :: acc) rest
-    | [] -> (off, List.rev acc)
-  in
-  scan false [] argv
-
 (* [--cache DIR] persists the compilation cache (pass results reused by the
    passes subcommand) in DIR and reports hits/misses on stderr at exit;
    [--no-cache] disables the in-memory cache. *)
@@ -308,8 +297,6 @@ let main () =
   let jobs, argv = extract_jobs argv in
   let shard_bits, argv = extract_shard_bits argv in
   Qc.Statevector.set_shard_bits shard_bits;
-  let no_plan, argv = extract_no_plan argv in
-  if no_plan then Qc.Statevector.set_plan_enabled false;
   let cache_dir, no_cache, argv = extract_cache argv in
   let oracle_spec, lut_k, ancilla_budget, argv = extract_oracle argv in
   let faults, max_retries, deadline, argv = extract_device argv in
@@ -423,7 +410,7 @@ let main () =
         \       qasm_tool run <target> <file.qasm|->\n\
         \       qasm_tool serve {tenants <spec> | load [--requests <n>] …}\n\
         \       (any form also accepts --trace-out <file>, --jobs <n>,\n\
-        \        --shard-bits <s>, --no-plan, --cache <dir> and --no-cache;\n\
+        \        --shard-bits <s>, --cache <dir> and --no-cache;\n\
         \        run also accepts --faults\n\
         \        <profile>, --max-retries <n> and --deadline <n>;\n\
         \        --oracle-xag <spec> [--lut-k <k>] [--ancilla-budget <b>]\n\

@@ -201,17 +201,6 @@ let map_floats p ~tasks f =
     out
   end
 
-(** [parallel_for_slabs p ~slabs f] runs [f slab] for every slab index in
-    [\[0, slabs)], chunking contiguous slab ranges over the pool. This is
-    the sharded statevector's workhorse: each slab owns a disjoint block
-    of amplitudes, so slab-local kernels parallelize with zero locks and
-    any pool width computes bit-identical results. *)
-let parallel_for_slabs p ?chunks ~slabs f =
-  parallel_for p ?chunks ~start:0 ~stop:slabs (fun lo hi ->
-      for sl = lo to hi - 1 do
-        f sl
-      done)
-
 (** [tree_sum parts] combines float partials in a fixed pairwise-tree
     order, in place (stride doubling:
     (((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)))+…). The summation order is a

@@ -8,17 +8,19 @@
       the shard-bits heuristic and [--shard-bits] override, the
       allocation guard ({!Unsupported} + [DAUTOQ_SV_MAX_QUBITS]), and
       the global-index accessors;
-    - {!Sv_kernels} — per-gate kernels (flat fast paths and their
-      sharded counterparts), deterministic slab-ordered reductions, and
-      the legacy gate-fusion prepass ([--no-plan]);
+    - {!Sv_kernels} — per-gate kernels written once against a slab (a
+      flat state is one slab), the chunk driver that spreads them over
+      the pool, and deterministic slab-ordered reductions;
     - {!Sv_plan} (exposed as {!Plan}) — compile-once execution plans:
-      block fusion, the commuting-block peepholes, and sharded replay
-      with slab-local / cross-slab kernel classification.
+      block fusion, the commuting-block peepholes, and replay with
+      slab-local / cross-slab kernel classification.
 
     This file owns what sits above the kernels: the LRU plan cache
     (capacity via [DAUTOQ_PLAN_CACHE]), the [run]/[run_on] entry points
     with their telemetry, and measurement (sampling, CDF construction,
-    state comparisons).
+    state comparisons). A circuit runs one of two ways: as a cached plan
+    (the default), or gate by gate ([~fuse:false], the unfused
+    reference, and every state narrower than {!fuse_min_qubits}).
 
     Determinism contract (PR 3/PR 8, extended to shards): for a fixed
     circuit and seed, amplitudes, sampler draws and histograms are
@@ -31,16 +33,6 @@ include Sv_kernels
 module Plan = Sv_plan
 
 (* --- plan cache and execution entry points --- *)
-
-let plan_enabled_flag = ref true
-
-(** [set_plan_enabled b] — the CLIs' [--no-plan] escape hatch. With
-    planning off, {!run}/{!run_on} fall back to the legacy fusion
-    prepass (1q-run and diagonal-run coalescing, gate-by-gate kernels).
-    [~fuse:false] remains the fully unfused reference path. *)
-let set_plan_enabled b = plan_enabled_flag := b
-
-let plan_enabled () = !plan_enabled_flag
 
 (* Plans are pure functions of the circuit, cached by structural key so
    multi-shot sampling, runs_statistics and device retries build once
@@ -130,43 +122,29 @@ let plan_of_circuit circuit =
       Mutex.unlock plan_mutex;
       p
 
-(* Shared by run/run_on: plan replay (default), the legacy fusion
-   prepass (--no-plan), the unfused reference (~fuse:false), and the
+(* Shared by run/run_on: plan replay (default), the unfused reference
+   (~fuse:false, and every state below fuse_min_qubits), and the
    telemetry both entry points must emit — [run_on] used to bypass it,
    under-counting qc.statevector.gates_applied for engine-driven
    simulation. *)
 let exec ~fuse s circuit =
-  let fuse = fuse && s.n >= fuse_min_qubits in
-  if fuse && !plan_enabled_flag then begin
+  if fuse && s.n >= fuse_min_qubits then begin
     let p = plan_of_circuit circuit in
     Plan.execute p s;
     if Obs.enabled () then
       Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
   end
-  else begin
-    let gates = if fuse then Circuit.to_array circuit else [||] in
-    if fuse && has_fusable gates then begin
-      let ops = fuse_gates gates in
-      List.iter (apply_op s) ops;
-      if Obs.enabled () then
-        Obs.count ~by:(List.length ops) "qc.statevector.fused_ops"
-    end
-    else begin
-      Circuit.iter (apply s) circuit;
-      if fuse && Obs.enabled () then
-        (* nothing fusable: op count = gate count *)
-        Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.fused_ops"
-    end
-  end;
+  else Circuit.iter (apply s) circuit;
   if Obs.enabled () then begin
     Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.gates_applied";
     Obs.add_attrs [ ("qubits", Obs.Int s.n) ]
   end
 
 (** [run ?fuse circuit] simulates [circuit] from |0…0⟩. [fuse] (default
-    true) runs the gate-fusion prepass on states of ≥ {!fuse_min_qubits}
-    qubits; the result is equal up to float rounding (≤ 1e-12 per
-    amplitude in practice). *)
+    true) replays the circuit's cached kernel plan on states of
+    ≥ {!fuse_min_qubits} qubits; [~fuse:false] applies the gates one by
+    one. The two agree up to float rounding (≤ 1e-12 per amplitude in
+    practice). *)
 let run ?(fuse = true) circuit =
   Obs.with_span "qc.statevector.run" @@ fun () ->
   let s = init (Circuit.num_qubits circuit) in
@@ -195,8 +173,8 @@ type sampler = { sb : int; smask : int; cdf : float array array }
 
 (* CDF fill over global range [lo, hi) starting from a known running
    total: one accumulator walks the slab pieces in ascending global
-   order, so the summation order matches the flat layout exactly. *)
-let seg_cdf_sh s (cdf : float array array) off lo hi =
+   order, so the summation order is the same for every slab size. *)
+let seg_cdf s (cdf : float array array) off lo hi =
   let acc = [| off |] in
   iter_pieces s lo hi (fun sl _base lo_l hi_l ->
       let re = s.sl_re.(sl) and im = s.sl_im.(sl) in
@@ -219,12 +197,12 @@ let sampler s =
   let cdf =
     Array.init (slab_count s) (fun _ -> Array.make (slab_size s) 0.)
   in
-  if sz <= par_threshold then seg_cdf_sh s cdf 0. 0 sz
+  if sz <= par_threshold then seg_cdf s cdf 0. 0 sz
   else begin
     let k = reduce_blocks in
     let parts =
       Par.map_floats (Par.global ()) ~tasks:k (fun i ->
-          seg_sum2_sh s (sz * i / k) (sz * (i + 1) / k))
+          seg_sum2 s (sz * i / k) (sz * (i + 1) / k))
     in
     let offs = Array.make k 0. in
     for i = 1 to k - 1 do
@@ -232,7 +210,7 @@ let sampler s =
     done;
     Par.run_tasks (Par.global ())
       (Array.init k (fun i () ->
-           seg_cdf_sh s cdf offs.(i) (sz * i / k) (sz * (i + 1) / k)))
+           seg_cdf s cdf offs.(i) (sz * i / k) (sz * (i + 1) / k)))
   end;
   { sb = s.sb; smask = s.smask; cdf }
 
@@ -267,11 +245,21 @@ let sample st s =
   done;
   !out
 
-(** [most_likely s] is the basis state with the largest probability. *)
-let most_likely s =
-  let best = ref 0 in
-  for x = 1 to size s - 1 do
-    if prob s x > prob s !best then best := x
+(** [most_likely s] is the basis state with the largest probability
+    (the first one on a tie). One pass over the slabs, each probability
+    computed once. *)
+let most_likely (s : t) =
+  let best = ref 0 and best_p = ref (prob s 0) in
+  for sl = 0 to slab_count s - 1 do
+    let re = s.sl_re.(sl) and im = s.sl_im.(sl) in
+    let base = sl lsl s.sb in
+    for x = 0 to slab_size s - 1 do
+      let p = (re.(x) *. re.(x)) +. (im.(x) *. im.(x)) in
+      if p > !best_p then begin
+        best := base lor x;
+        best_p := p
+      end
+    done
   done;
   !best
 

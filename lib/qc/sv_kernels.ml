@@ -1,14 +1,14 @@
-(** Gate kernels, reductions and the fusion prepass over the sharded
-    state ({!Sv_shard}).
+(** Gate kernels and reductions over the slab storage ({!Sv_shard}).
 
-    Every primitive has two shapes with {e identical per-amplitude float
-    arithmetic}: a flat fast path on single-slab states (the exact PR 8
-    kernels) and a sharded path that dispatches on whether the touched
-    qubits sit below the slab bit — slab-local work fans out over the
-    {!Par} pool slab by slab, cross-slab pairs stream two slabs in
-    lockstep. Reductions chunk the {e global} index space into a fixed
-    block count and walk each block's slabs in ascending global order,
-    so sums are bit-identical across every jobs × shard-bits setting. *)
+    Every kernel is written once, against one slab: a flat state is a
+    single slab whose base index is 0. Slab-local work goes through one
+    chunk driver ({!run_chunks}), which spreads slab ranges over the
+    {!Par} pool, or splits a single slab's index range when the state
+    has only one; a pair whose partner sits in another slab streams the
+    two slabs in lockstep. Reductions chunk the {e global} index space
+    into a fixed block count and walk each block's slabs in ascending
+    global order, so sums are bit-identical across every jobs ×
+    shard-bits setting. *)
 
 include Sv_shard
 
@@ -17,31 +17,53 @@ include Sv_shard
    256 kB, roughly where one pass stops fitting in L2. *)
 let par_threshold = 1 lsl 14
 
-(* Below this many qubits the fusion prepass costs more than it saves:
-   kernel passes over ≤ 2^9 amplitudes are already sub-µs, so the
-   prepass's gate-array copy and op-list allocations dominate. The
-   prepass itself is size-independent, so tests drive it directly via
-   {!fuse_gates}/{!apply_op} on small circuits. *)
+(* Below this many qubits [Statevector.run] applies gates one by one
+   instead of replaying a plan: kernel passes over ≤ 2^9 amplitudes are
+   already sub-µs, so the plan cache's structural key and the schedule
+   cost more than they save. Tests drive [Plan.build]/[Plan.execute]
+   directly on small circuits. *)
 let fuse_min_qubits = 10
 
-(* Run [f slab] for every slab, over the pool when the state is big
-   enough to amortize it. Each slab-local task writes only its own
-   slab(s), so any pool width is bit-identical. *)
-let run_slabs s f =
-  if size s <= par_threshold then
-    for sl = 0 to slab_count s - 1 do
-      f sl
-    done
-  else Par.parallel_for_slabs (Par.global ()) ~slabs:(slab_count s) f
+(* The chunk driver for slab-local kernels: [body slo shi lo hi] runs a
+   kernel on slabs [slo, shi), each over its units [lo, hi) — [units]
+   per slab, amplitudes or block groups. Each pool task is one call, so
+   a block kernel allocates its group scratch once per task. Many slabs
+   split by slab range; a single slab above [par_threshold] splits its
+   unit range instead, so a flat state keeps the whole pool. Tasks write
+   disjoint slabs or disjoint unit ranges: any pool width is
+   bit-identical. *)
+let run_chunks s ~units body =
+  let slabs = slab_count s in
+  if size s <= par_threshold then body 0 slabs 0 units
+  else if slabs = 1 then
+    Par.parallel_for (Par.global ()) ~start:0 ~stop:units (fun lo hi ->
+        body 0 1 lo hi)
+  else
+    Par.parallel_for (Par.global ()) ~start:0 ~stop:slabs (fun slo shi ->
+        body slo shi 0 units)
 
-(* Kernel bodies are top-level segment functions over [lo, hi): the
-   sequential path calls them directly (a known call — loop locals stay
-   in registers), and only the parallel path pays a closure. Wrapping
-   the whole body in a [par_range (fun lo hi -> ...)] closure costs
-   ~15% on kernel-bound circuits without flambda, because captured
-   variables are re-read from the closure environment each iteration.
-   Each segment writes a disjoint index slice, so any worker count
-   computes bit-identical amplitudes (Par's contract). *)
+(* {!run_chunks} over amplitudes, for kernels without scratch:
+   [f sl lo hi] once per slab. *)
+let run_slabs s f =
+  run_chunks s ~units:(slab_size s) (fun slo shi lo hi ->
+      for sl = slo to shi - 1 do
+        f sl lo hi
+      done)
+
+(* The cross-slab kernels' driver: a global range [0, stop) chunked over
+   the pool once the state is big enough to amortize it. *)
+let run_range s stop body =
+  if size s <= par_threshold then body 0 stop
+  else Par.parallel_for (Par.global ()) ~start:0 ~stop body
+
+(* Kernel bodies are top-level segment functions over a slab's local
+   range [lo, hi): the drivers call them with unboxed arguments (loop
+   locals stay in registers), and only the driver pays a closure.
+   Wrapping the whole body in a closure costs ~15% on kernel-bound
+   circuits without flambda, because captured variables are re-read
+   from the closure environment each iteration. Each segment writes a
+   disjoint index slice, so any worker count computes bit-identical
+   amplitudes (Par's contract). *)
 let seg_1q re im bit (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
     (m11 : Complex.t) lo hi =
   let x = ref lo in
@@ -74,24 +96,16 @@ let seg_1q_pair (are : float array) (aim : float array) (bre : float array)
 let apply_1q s q (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
     (m11 : Complex.t) =
   let bit = 1 lsl q in
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    let sz = size s in
-    if sz <= par_threshold then seg_1q re im bit m00 m01 m10 m11 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_1q re im bit m00 m01 m10 m11 lo hi)
-  end
-  else if q < s.sb then
-    run_slabs s (fun sl ->
-        seg_1q s.sl_re.(sl) s.sl_im.(sl) bit m00 m01 m10 m11 0 (slab_size s))
+  if q < s.sb then
+    run_slabs s (fun sl lo hi ->
+        seg_1q s.sl_re.(sl) s.sl_im.(sl) bit m00 m01 m10 m11 lo hi)
   else begin
     let hb = 1 lsl (q - s.sb) in
-    run_slabs s (fun sl ->
+    run_slabs s (fun sl lo hi ->
         if sl land hb = 0 then
           seg_1q_pair s.sl_re.(sl) s.sl_im.(sl)
             s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
-            m00 m01 m10 m11 0 (slab_size s))
+            m00 m01 m10 m11 lo hi)
   end
 
 (* Pair kernels visit each (x, x lxor tbit) pair once via the tbit = 0
@@ -127,30 +141,22 @@ let seg_swap_pair (are : float array) (aim : float array) (bre : float array)
     end
   done
 
+(* The mask and want split into a slab-index half (checked once per
+   slab) and a local half. *)
 let swap_pairs s ~mask ~want ~tbit =
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    let sz = size s in
-    if sz <= par_threshold then seg_swap re im mask want tbit 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_swap re im mask want tbit lo hi)
-  end
+  let mlo = mask land s.smask and mhi = mask lsr s.sb in
+  let wlo = want land s.smask and whi = want lsr s.sb in
+  if tbit <= s.smask then
+    run_slabs s (fun sl lo hi ->
+        if sl land mhi = whi then
+          seg_swap s.sl_re.(sl) s.sl_im.(sl) mlo wlo tbit lo hi)
   else begin
-    let mlo = mask land s.smask and mhi = mask lsr s.sb in
-    let wlo = want land s.smask and whi = want lsr s.sb in
-    if tbit <= s.smask then
-      run_slabs s (fun sl ->
-          if sl land mhi = whi then
-            seg_swap s.sl_re.(sl) s.sl_im.(sl) mlo wlo tbit 0 (slab_size s))
-    else begin
-      let hb = tbit lsr s.sb in
-      run_slabs s (fun sl ->
-          if sl land hb = 0 && sl land mhi = whi then
-            seg_swap_pair s.sl_re.(sl) s.sl_im.(sl)
-              s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
-              mlo wlo 0 (slab_size s))
-    end
+    let hb = tbit lsr s.sb in
+    run_slabs s (fun sl lo hi ->
+        if sl land hb = 0 && sl land mhi = whi then
+          seg_swap_pair s.sl_re.(sl) s.sl_im.(sl)
+            s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
+            mlo wlo lo hi)
   end
 
 let seg_phase re im mask want pre pim lo hi =
@@ -163,23 +169,13 @@ let seg_phase re im mask want pre pim lo hi =
   done
 
 let phase_on s ~mask ~want (p : Complex.t) =
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    let sz = size s in
-    if sz <= par_threshold then seg_phase re im mask want p.re p.im 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_phase re im mask want p.re p.im lo hi)
-  end
-  else begin
-    (* diagonal: never crosses slabs — the slab-index half of the mask
-       just gates which slabs are touched at all *)
-    let mlo = mask land s.smask and mhi = mask lsr s.sb in
-    let wlo = want land s.smask and whi = want lsr s.sb in
-    run_slabs s (fun sl ->
-        if sl land mhi = whi then
-          seg_phase s.sl_re.(sl) s.sl_im.(sl) mlo wlo p.re p.im 0 (slab_size s))
-  end
+  (* diagonal: never crosses slabs — the slab-index half of the mask
+     just gates which slabs are touched at all *)
+  let mlo = mask land s.smask and mhi = mask lsr s.sb in
+  let wlo = want land s.smask and whi = want lsr s.sb in
+  run_slabs s (fun sl lo hi ->
+      if sl land mhi = whi then
+        seg_phase s.sl_re.(sl) s.sl_im.(sl) mlo wlo p.re p.im lo hi)
 
 (* Swap = visit the (a=1, b=0) pattern once, exchange with (a=0, b=1). *)
 let seg_swap2 (re : float array) (im : float array) ab bb lo hi =
@@ -194,10 +190,10 @@ let seg_swap2 (re : float array) (im : float array) ab bb lo hi =
     end
   done
 
-(* Sharded SWAP with at least one high qubit: rare enough (plans fuse
-   SWAPs into permutation blocks) that a generic global-index walk via
-   the accessors is fine. Pure moves — exact, and pairs are disjoint so
-   chunking stays deterministic. *)
+(* SWAP with at least one qubit above the slab bit: rare enough (plans
+   fuse SWAPs into permutation blocks) that a generic global-index walk
+   via the accessors is fine. Pure moves — exact, and pairs are disjoint
+   so chunking stays deterministic. *)
 let seg_swap2_g s ab bb lo hi =
   for x = lo to hi - 1 do
     if x land ab <> 0 && x land bb = 0 then begin
@@ -212,24 +208,12 @@ let seg_swap2_g s ab bb lo hi =
 
 let apply_swap s a b =
   let ab = 1 lsl a and bb = 1 lsl b in
-  let sz = size s in
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    if sz <= par_threshold then seg_swap2 re im ab bb 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_swap2 re im ab bb lo hi)
-  end
-  else if ab <= s.smask && bb <= s.smask then
-    run_slabs s (fun sl ->
-        seg_swap2 s.sl_re.(sl) s.sl_im.(sl) ab bb 0 (slab_size s))
-  else if sz <= par_threshold then seg_swap2_g s ab bb 0 sz
-  else
-    Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-        seg_swap2_g s ab bb lo hi)
+  if ab <= s.smask && bb <= s.smask then
+    run_slabs s (fun sl lo hi ->
+        seg_swap2 s.sl_re.(sl) s.sl_im.(sl) ab bb lo hi)
+  else run_range s (size s) (seg_swap2_g s ab bb)
 
 let c0 = Complex.zero
-let c1 = Complex.one
 let ci = Complex.i
 let cm1 = Complex.{ re = -1.; im = 0. }
 let cmi = Complex.{ re = 0.; im = -1. }
@@ -290,27 +274,11 @@ let reduce_blocks = 256
 
 let tree_sum = Par.tree_sum
 
-(* 1-slot accumulator arrays, not refs: float ref stores box per
-   iteration. *)
-let seg_sum2 (re : float array) (im : float array) lo hi =
-  let acc = [| 0. |] in
-  for x = lo to hi - 1 do
-    acc.(0) <- acc.(0) +. (re.(x) *. re.(x)) +. (im.(x) *. im.(x))
-  done;
-  acc.(0)
-
-let seg_sum2_bit (re : float array) (im : float array) bit lo hi =
-  let acc = [| 0. |] in
-  for x = lo to hi - 1 do
-    if x land bit <> 0 then
-      acc.(0) <- acc.(0) +. (re.(x) *. re.(x)) +. (im.(x) *. im.(x))
-  done;
-  acc.(0)
-
-(* Sharded block partials: one running accumulator carried across the
-   block's slab pieces in global order — the same addition sequence as
-   the flat kernels, so the sums match bit for bit. *)
-let seg_sum2_sh s lo hi =
+(* Block partials: one running accumulator (a 1-slot array, not a ref:
+   float ref stores box per iteration) carried across the block's slab
+   pieces in global order, so the addition sequence is the same for
+   every slab size. *)
+let seg_sum2 s lo hi =
   let acc = [| 0. |] in
   iter_pieces s lo hi (fun sl _base lo_l hi_l ->
       let re = s.sl_re.(sl) and im = s.sl_im.(sl) in
@@ -319,7 +287,7 @@ let seg_sum2_sh s lo hi =
       done);
   acc.(0)
 
-let seg_sum2_bit_sh s bit lo hi =
+let seg_sum2_bit s bit lo hi =
   let acc = [| 0. |] in
   iter_pieces s lo hi (fun sl base lo_l hi_l ->
       let re = s.sl_re.(sl) and im = s.sl_im.(sl) in
@@ -341,47 +309,12 @@ let reduce_sum sz (seg : int -> int -> float) =
 (** [norm2 s] is the total probability (should stay 1 within rounding).
     Chunked tree sum above {!par_threshold}; bit-identical at any
     [--jobs] and any shard-bits setting. *)
-let norm2 s =
-  if not (sharded s) then
-    reduce_sum (size s) (seg_sum2 s.sl_re.(0) s.sl_im.(0))
-  else reduce_sum (size s) (seg_sum2_sh s)
+let norm2 s = reduce_sum (size s) (seg_sum2 s)
 
 (** [prob_of_qubit s q] is the probability of reading 1 on qubit [q]. *)
-let prob_of_qubit s q =
-  if not (sharded s) then
-    reduce_sum (size s) (seg_sum2_bit s.sl_re.(0) s.sl_im.(0) (1 lsl q))
-  else reduce_sum (size s) (seg_sum2_bit_sh s (1 lsl q))
+let prob_of_qubit s q = reduce_sum (size s) (seg_sum2_bit s (1 lsl q))
 
-(* --- gate fusion prepass --- *)
-
-(* A 2×2 unitary, row-major. *)
-type m2 = { m00 : Complex.t; m01 : Complex.t; m10 : Complex.t; m11 : Complex.t }
-
-(* [m2_after g f] is the matrix of "apply f, then g": the product g·f. *)
-let m2_after g f =
-  let open Complex in
-  { m00 = add (mul g.m00 f.m00) (mul g.m01 f.m10);
-    m01 = add (mul g.m00 f.m01) (mul g.m01 f.m11);
-    m10 = add (mul g.m10 f.m00) (mul g.m11 f.m10);
-    m11 = add (mul g.m10 f.m01) (mul g.m11 f.m11) }
-
-(* The 2×2 matrix of a 1-qubit gate, with its qubit. *)
-let m2_of_gate = function
-  | Gate.X q -> Some (q, { m00 = c0; m01 = c1; m10 = c1; m11 = c0 })
-  | Gate.Y q -> Some (q, { m00 = c0; m01 = cmi; m10 = ci; m11 = c0 })
-  | Gate.Z q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = cm1 })
-  | Gate.H q -> Some (q, { m00 = ch; m01 = ch; m10 = ch; m11 = chm })
-  | Gate.S q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = ci })
-  | Gate.Sdg q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = cmi })
-  | Gate.T q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = omega })
-  | Gate.Tdg q -> Some (q, { m00 = c1; m01 = c0; m10 = c0; m11 = omega_bar })
-  | Gate.Rz (a, q) ->
-      let h = a /. 2. in
-      Some
-        ( q,
-          { m00 = Complex.{ re = cos h; im = -.sin h }; m01 = c0; m10 = c0;
-            m11 = Complex.{ re = cos h; im = sin h } } )
-  | _ -> None
+(* --- diagonal runs --- *)
 
 (* One multiplicative term of a diagonal gate: amplitudes whose index
    matches [want] on [mask] pick up the phase (pre + i·pim). *)
@@ -425,40 +358,12 @@ let dterms_of_gate g =
    one memory pass instead of one per gate. Amplitudes whose combined
    phase is exactly 1 are not written, so untouched entries keep their
    exact values (basis states stay exact). All arithmetic is on unboxed
-   floats — no [Complex.t] in the inner loop. *)
-let seg_phase_sweep re im lo_re lo_im hi_re hi_im half_mask h
-    (straddling : dterm array) lo hi =
+   floats — no [Complex.t] in the inner loop. Writes are slab-local;
+   the tables are indexed by the global index [gx = base lor x]. *)
+let seg_phase_sweep (re : float array) (im : float array) lo_re lo_im hi_re
+    hi_im half_mask h (straddling : dterm array) base lo hi =
   let ns = Array.length straddling in
   (* 2-slot float array, not refs: ref assignment would box per store *)
-  let acc = [| 1.; 0. |] in
-  for x = lo to hi - 1 do
-    let l = x land half_mask and g = x lsr h in
-    let ar = Array.unsafe_get lo_re l and ai = Array.unsafe_get lo_im l in
-    let br = Array.unsafe_get hi_re g and bi = Array.unsafe_get hi_im g in
-    acc.(0) <- (ar *. br) -. (ai *. bi);
-    acc.(1) <- (ar *. bi) +. (ai *. br);
-    for t = 0 to ns - 1 do
-      let tm = Array.unsafe_get straddling t in
-      if x land tm.mask = tm.want then begin
-        let r = acc.(0) and i = acc.(1) in
-        acc.(0) <- (r *. tm.pre) -. (i *. tm.pim);
-        acc.(1) <- (r *. tm.pim) +. (i *. tm.pre)
-      end
-    done;
-    let pr = acc.(0) and pi = acc.(1) in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* Sharded sweep segment: local writes, global indices into the phase
-   tables ([gx = base lor x]). Same arithmetic and same skip-when-unit
-   rule as {!seg_phase_sweep}. *)
-let seg_phase_sweep_base (re : float array) (im : float array) lo_re lo_im
-    hi_re hi_im half_mask h (straddling : dterm array) base lo hi =
-  let ns = Array.length straddling in
   let acc = [| 1.; 0. |] in
   for x = lo to hi - 1 do
     let gx = base lor x in
@@ -485,8 +390,7 @@ let seg_phase_sweep_base (re : float array) (im : float array) lo_re lo_im
 
 (* A fully prepared diagonal sweep: the per-half phase tables plus any
    straddling terms. Building one is O(√2^n · terms); the plan layer
-   builds each sweep once and replays it across shots, where the old
-   path rebuilt the tables on every execution. *)
+   builds each sweep once and replays it across shots. *)
 type sweep = {
   lo_re : float array;
   lo_im : float array;
@@ -527,39 +431,9 @@ let sweep_of_terms n (terms : dterm array) =
     straddling = Array.of_list (List.rev !straddling) }
 
 let apply_sweep s sw =
-  if not (sharded s) then begin
-    let re = s.sl_re.(0) and im = s.sl_im.(0) in
-    let sz = size s in
-    if sz <= par_threshold then
-      seg_phase_sweep re im sw.lo_re sw.lo_im sw.hi_re sw.hi_im sw.half_mask
-        sw.h sw.straddling 0 sz
-    else
-      Par.parallel_for (Par.global ()) ~start:0 ~stop:sz (fun lo hi ->
-          seg_phase_sweep re im sw.lo_re sw.lo_im sw.hi_re sw.hi_im
-            sw.half_mask sw.h sw.straddling lo hi)
-  end
-  else
-    run_slabs s (fun sl ->
-        seg_phase_sweep_base s.sl_re.(sl) s.sl_im.(sl) sw.lo_re sw.lo_im
-          sw.hi_re sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) 0
-          (slab_size s))
-
-let apply_phase_terms s (terms : dterm array) =
-  apply_sweep s (sweep_of_terms s.n terms)
-
-type op =
-  | Op_gate of Gate.t
-  | Op_fused1q of int * m2 (* a run of 1q gates on one qubit, multiplied out *)
-  | Op_phases of dterm array (* a run of diagonal gates, one sweep *)
-
-type pending =
-  | P_none
-  | P_1q of { q : int; m : m2; count : int; first : Gate.t }
-  | P_diag of {
-      rev_terms : dterm list list;
-      ones : int; (* 1-qubit diag gates in the run *)
-      rev_gates : Gate.t list;
-    }
+  run_slabs s (fun sl lo hi ->
+      seg_phase_sweep s.sl_re.(sl) s.sl_im.(sl) sw.lo_re sw.lo_im sw.hi_re
+        sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) lo hi)
 
 (* Qubit of a 1-qubit gate, or -1 for multi-qubit gates. *)
 let q1_of = function
@@ -569,88 +443,18 @@ let q1_of = function
       q
   | _ -> -1
 
-(* A diagonal run re-emits its original gates unless it contains at
-   least this many 1-qubit phase gates. Those are the passes a sweep
-   collapses; multi-qubit CZ/CCZ/MCZ kernels already touch only a
-   2^-k subset of amplitudes, so a run of bare CZs (hidden-shift
-   oracles) or QFT's length-2 Rz runs is cheaper unfused. *)
+(* A diagonal run becomes one sweep only when it contains at least this
+   many 1-qubit phase gates. Those are the passes a sweep collapses;
+   multi-qubit CZ/CCZ/MCZ kernels already touch only a 2^-k subset of
+   amplitudes, so a run of bare CZs (hidden-shift oracles) or QFT's
+   length-2 Rz runs is cheaper unfused. *)
 let min_diag_run = 3
 
-(* Greedy single-pass fusion. Runs of length 1 re-emit the original gate:
-   the specialized kernels (swap_pairs for X, phase_on for Z/S/T) beat a
-   generic 2×2 multiply, and exact integer kernels stay exact. *)
-let fuse_gates (gates : Gate.t array) =
-  let ops = ref [] in
-  let emit o = ops := o :: !ops in
-  let flush = function
-    | P_none -> ()
-    | P_1q { m; q; count; first } ->
-        if count = 1 then emit (Op_gate first) else emit (Op_fused1q (q, m))
-    | P_diag { rev_terms; ones; rev_gates } ->
-        if ones < min_diag_run then
-          List.iter (fun g -> emit (Op_gate g)) (List.rev rev_gates)
-        else emit (Op_phases (Array.of_list (List.concat (List.rev rev_terms))))
-  in
-  let one_of g = if q1_of g >= 0 then 1 else 0 in
-  let step pending g =
-    match (pending, m2_of_gate g, dterms_of_gate g) with
-    | P_1q p, Some (q, m), _ when q = p.q ->
-        P_1q { p with m = m2_after m p.m; count = p.count + 1 }
-    | P_diag p, _, Some ts ->
-        P_diag
-          { rev_terms = ts :: p.rev_terms; ones = p.ones + one_of g;
-            rev_gates = g :: p.rev_gates }
-    | _, _, Some ts ->
-        flush pending;
-        P_diag { rev_terms = [ ts ]; ones = one_of g; rev_gates = [ g ] }
-    | _, Some (q, m), None ->
-        flush pending;
-        P_1q { q; m; count = 1; first = g }
-    | _, None, None ->
-        flush pending;
-        emit (Op_gate g);
-        P_none
-  in
-  flush (Array.fold_left step P_none gates);
-  List.rev !ops
-
-let apply_op s = function
-  | Op_gate g -> apply s g
-  | Op_fused1q (q, m) -> apply_1q s q m.m00 m.m01 m.m10 m.m11
-  | Op_phases terms -> apply_phase_terms s terms
-
-(* Cheap pre-scan deciding whether the prepass can fuse anything at all:
-   a diagonal run with ≥ [min_diag_run] 1-qubit phase gates, or a
-   non-diagonal 1-qubit gate directly followed by a 1-qubit gate on the
-   same qubit (the [P_1q] seed). Circuits with no such adjacency
-   (H/CNOT-mix layers, QFT's Rz/CNOT interleaving, bare-CZ oracles)
-   skip the prepass and its allocations — false negatives only skip an
-   optimization, never change results. *)
 let is_diag = function
   | Gate.Z _ | Gate.S _ | Gate.Sdg _ | Gate.T _ | Gate.Tdg _ | Gate.Rz _ | Gate.Cz _
   | Gate.Ccz _ | Gate.Mcz _ ->
       true
   | _ -> false
-
-let has_fusable (gates : Gate.t array) =
-  let n = Array.length gates in
-  let found = ref false in
-  let diag_run = ref 0 in
-  let i = ref 0 in
-  while (not !found) && !i < n do
-    let g = gates.(!i) in
-    if is_diag g then begin
-      if q1_of g >= 0 then incr diag_run;
-      if !diag_run >= min_diag_run then found := true
-    end
-    else begin
-      diag_run := 0;
-      let q = q1_of g in
-      if q >= 0 && !i + 1 < n && q1_of gates.(!i + 1) = q then found := true
-    end;
-    incr i
-  done;
-  !found
 
 (** [amplitude_damp s q ~gamma ~jump] applies one quantum-trajectory branch
     of the amplitude-damping (T1) channel on qubit [q]:

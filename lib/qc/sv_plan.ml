@@ -44,14 +44,14 @@
       together between cross-slab exchange rounds.
 
     Replay classifies each kernel against the state's shard layout
-    ({!Sv_shard}): {e slab-local} kernels (all touched qubits below the
-    slab bit, plus every diagonal) fan out per slab over the pool with
-    zero cross-slab traffic; {e cross-slab} kernels stream slabs in
-    lockstep (high-bit butterflies), scatter through the global
-    accessors (rare narrow high-bit blocks), or rebuild the state
-    slab-sequentially through the inverse map (full-width
-    permutations). Groups and slabs are disjoint, so any [--jobs] and
-    any shard-bits value is bit-identical. *)
+    ({!Sv_shard}; a flat state is one slab): {e slab-local} kernels (all
+    touched qubits below the slab bit, plus every diagonal) run through
+    {!Sv_kernels.run_chunks} with zero cross-slab traffic; {e cross-slab}
+    kernels stream slabs in lockstep (high-bit butterflies), scatter
+    through the global accessors (rare narrow high-bit blocks), or
+    rebuild the state slab-sequentially through the inverse map
+    (full-width permutations). Groups and slabs are disjoint, so any
+    [--jobs] and any shard-bits value is bit-identical. *)
 
 open Sv_kernels
 
@@ -480,7 +480,7 @@ let build circuit =
   let gates = peephole (Circuit.to_array circuit) in
   let ng = Array.length gates in
   (* pass 1: mark the maximal diagonal runs worth a separable sweep
-     (same profitability rule as the legacy prepass) *)
+     (at least [min_diag_run] 1-qubit phase gates) *)
   let in_sweep = Array.make (max 1 ng) false in
   let i = ref 0 in
   while !i < ng do
@@ -737,22 +737,9 @@ let sweep_phase_acc (sw : sweep) (acc : float array) idx =
     end
   done
 
+(* Gather with a pre-sweep: values live at slab-local offsets
+   ([lbase]), the sweep tables want the global index ([gbase]). *)
 let gather_pre (re : float array) (im : float array) (offs : int array)
-    (ar : float array) (ai : float array) (sw : sweep) base =
-  let acc = [| 1.; 0. |] in
-  for j = 0 to Array.length offs - 1 do
-    let idx = base lor Array.unsafe_get offs j in
-    sweep_phase_acc sw acc idx;
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = Array.unsafe_get re idx and vi = Array.unsafe_get im idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
-  done
-
-(* Slab-local gather with a pre-sweep: values live at local offsets
-   ([lbase]), the sweep tables want the global index ([gbase]). Same
-   float expressions as {!gather_pre}. *)
-let gather_pre_sl (re : float array) (im : float array) (offs : int array)
     (ar : float array) (ai : float array) (sw : sweep) gbase lbase =
   let acc = [| 1.; 0. |] in
   for j = 0 to Array.length offs - 1 do
@@ -786,39 +773,7 @@ let gather_pre_g s (offs : int array) (ar : float array) (ai : float array)
     Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
   done
 
-let seg_dense (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (u_re : float array) (u_im : float array)
-    (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  let br = Array.make dim 0. and bi = Array.make dim 0. in
-  for i = lo to hi - 1 do
-    let base = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai base
-    | Some sw -> gather_pre re im offs ar ai sw base);
-    for row = 0 to dim - 1 do
-      let rb = row * dim in
-      Array.unsafe_set br row 0.;
-      Array.unsafe_set bi row 0.;
-      for c = 0 to dim - 1 do
-        let ur = Array.unsafe_get u_re (rb + c)
-        and ui = Array.unsafe_get u_im (rb + c) in
-        let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-        Array.unsafe_set br row
-          (Array.unsafe_get br row +. ((ur *. xr) -. (ui *. xi)));
-        Array.unsafe_set bi row
-          (Array.unsafe_get bi row +. ((ur *. xi) +. (ui *. xr)))
-      done
-    done;
-    for j = 0 to dim - 1 do
-      let idx = base lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get br j);
-      Array.unsafe_set im idx (Array.unsafe_get bi j)
-    done
-  done
-
-(* The dense matvec on a gathered group — shared by the flat and
+(* The dense matvec on a gathered group — shared by the slab-local and
    cross-slab dense kernels (identical arithmetic). *)
 let dense_matvec dim (u_re : float array) (u_im : float array)
     (ar : float array) (ai : float array) (br : float array) (bi : float array)
@@ -838,10 +793,13 @@ let dense_matvec dim (u_re : float array) (u_im : float array)
     done
   done
 
-(* Sharded slab-local dense kernel: compressed indices range over the
-   slab; [sbase] recovers global indices for the pre-sweep tables.
-   Caller-provided scratch, as in {!seg_perm_sl}. *)
-let seg_dense_sl (re : float array) (im : float array) (bits : int array)
+(* Block kernels below run on one slab whose bits hold every block bit:
+   compressed group indices [lo, hi) range over the slab, and [sbase]
+   (the slab's first global index) recovers global indices for the
+   pre-sweep tables. Group scratch ([ar]/[ai], [br]/[bi]) comes from the
+   caller, so one allocation serves a whole pool task — wide blocks
+   would otherwise churn megabytes of garbage per slab. *)
+let seg_dense (re : float array) (im : float array) (bits : int array)
     (offs : int array) (u_re : float array) (u_im : float array)
     (pre : sweep option) (ar : float array) (ai : float array)
     (br : float array) (bi : float array) sbase lo hi =
@@ -850,7 +808,7 @@ let seg_dense_sl (re : float array) (im : float array) (bits : int array)
     let lbase = expand bits i in
     (match pre with
     | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
+    | Some sw -> gather_pre re im offs ar ai sw (sbase lor lbase) lbase);
     dense_matvec dim u_re u_im ar ai br bi;
     for j = 0 to dim - 1 do
       let idx = lbase lor Array.unsafe_get offs j in
@@ -878,48 +836,9 @@ let seg_dense_g s (bits : int array) (offs : int array) (u_re : float array)
     done
   done
 
+(* Permutation block: each column moves to its row, times its phase;
+   [ph = None] (a classical block, all phases exactly 1) is move-only. *)
 let seg_perm (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (perm : int array)
-    (ph : (float array * float array) option) (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  match ph with
-  | None ->
-      (* all phases exactly 1 (pure classical block): move-only scatter *)
-      for i = lo to hi - 1 do
-        let base = expand bits i in
-        (match pre with
-        | None -> gather_plain re im offs ar ai base
-        | Some sw -> gather_pre re im offs ar ai sw base);
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let idx = base lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx (Array.unsafe_get ar c);
-          Array.unsafe_set im idx (Array.unsafe_get ai c)
-        done
-      done
-  | Some (ph_re, ph_im) ->
-      for i = lo to hi - 1 do
-        let base = expand bits i in
-        (match pre with
-        | None -> gather_plain re im offs ar ai base
-        | Some sw -> gather_pre re im offs ar ai sw base);
-        for c = 0 to dim - 1 do
-          let row = Array.unsafe_get perm c in
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          let xr = Array.unsafe_get ar c and xi = Array.unsafe_get ai c in
-          let idx = base lor Array.unsafe_get offs row in
-          Array.unsafe_set re idx ((pr *. xr) -. (pi *. xi));
-          Array.unsafe_set im idx ((pr *. xi) +. (pi *. xr))
-        done
-      done
-
-(* Sharded slab-local permutation kernel (all block bits below the slab
-   bit): group indices and offsets are slab-local, [sbase] recovers the
-   global index for the pre-sweep. Scratch ([ar]/[ai], group-sized)
-   comes from the caller so one allocation serves a whole slab range —
-   wide blocks would otherwise churn megabytes of garbage per slab. *)
-let seg_perm_sl (re : float array) (im : float array) (bits : int array)
     (offs : int array) (perm : int array)
     (ph : (float array * float array) option) (pre : sweep option)
     (ar : float array) (ai : float array) sbase lo hi =
@@ -928,8 +847,8 @@ let seg_perm_sl (re : float array) (im : float array) (bits : int array)
     let lbase = expand bits i in
     (match pre with
     | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
-    (match ph with
+    | Some sw -> gather_pre re im offs ar ai sw (sbase lor lbase) lbase);
+    match ph with
     | None ->
         for c = 0 to dim - 1 do
           let row = Array.unsafe_get perm c in
@@ -945,7 +864,7 @@ let seg_perm_sl (re : float array) (im : float array) (bits : int array)
           let idx = lbase lor Array.unsafe_get offs row in
           Array.unsafe_set re idx ((pr *. xr) -. (pi *. xi));
           Array.unsafe_set im idx ((pr *. xi) +. (pi *. xr))
-        done)
+        done
   done
 
 (* Cross-slab narrow permutation, destination-major: out-of-place
@@ -1031,9 +950,35 @@ let seg_perm_stream s (out_re : float array array)
     done
   done
 
-(* Full-width permutation: out-of-place through the inverse map, so
-   writes are sequential (reads scatter, which caches better than
-   scattered writes) and chunks write disjoint output slices. *)
+(* Full-width permutation, out-of-place through the inverse map: each
+   destination slab is written sequentially (y ascending; reads scatter,
+   which caches better than scattered writes), so chunks write disjoint
+   output slices with no locks. [sbase] is the destination slab's first
+   global index; reads resolve each source index to its slab. *)
+let seg_perm_full_sh s (out_re : float array) (out_im : float array)
+    (inv : int array) (ph : (float array * float array) option) sbase lo hi =
+  let sb = s.sb and smask = s.smask in
+  let sl_re = s.sl_re and sl_im = s.sl_im in
+  match ph with
+  | None ->
+      for y = lo to hi - 1 do
+        let x = Array.unsafe_get inv (sbase lor y) in
+        let sl = x lsr sb and o = x land smask in
+        Array.unsafe_set out_re y (Array.unsafe_get (Array.unsafe_get sl_re sl) o);
+        Array.unsafe_set out_im y (Array.unsafe_get (Array.unsafe_get sl_im sl) o)
+      done
+  | Some (ph_re, ph_im) ->
+      for y = lo to hi - 1 do
+        let x = Array.unsafe_get inv (sbase lor y) in
+        let sl = x lsr sb and o = x land smask in
+        let pr = Array.unsafe_get ph_re x and pi = Array.unsafe_get ph_im x in
+        let vr = Array.unsafe_get (Array.unsafe_get sl_re sl) o
+        and vi = Array.unsafe_get (Array.unsafe_get sl_im sl) o in
+        Array.unsafe_set out_re y ((pr *. vr) -. (pi *. vi));
+        Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
+      done
+
+(* {!seg_perm_full_sh} on a single slab, reading [re]/[im] directly. *)
 let seg_perm_full (re : float array) (im : float array) (out_re : float array)
     (out_im : float array) (inv : int array)
     (ph : (float array * float array) option) lo hi =
@@ -1053,67 +998,11 @@ let seg_perm_full (re : float array) (im : float array) (out_re : float array)
         Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
       done
 
-(* Sharded full-width permutation, the pair-exchange schedule's general
-   case: each destination slab is written sequentially (y ascending),
-   reads go through the global accessors via the inverse map. One task
-   per output slab — no locks, disjoint writes, and the same per-
-   amplitude move/phase expressions as {!seg_perm_full}. *)
-let seg_perm_full_sh s (out_re : float array) (out_im : float array)
-    (inv : int array) (ph : (float array * float array) option) sbase ssz =
-  match ph with
-  | None ->
-      for y = 0 to ssz - 1 do
-        let x = Array.unsafe_get inv (sbase lor y) in
-        Array.unsafe_set out_re y (get_re s x);
-        Array.unsafe_set out_im y (get_im s x)
-      done
-  | Some (ph_re, ph_im) ->
-      for y = 0 to ssz - 1 do
-        let x = Array.unsafe_get inv (sbase lor y) in
-        let pr = Array.unsafe_get ph_re x and pi = Array.unsafe_get ph_im x in
-        let vr = get_re s x and vi = get_im s x in
-        Array.unsafe_set out_re y ((pr *. vr) -. (pi *. vi));
-        Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
-      done
-
 (* Hadamards on the block's k distinct qubits: gather a group, run one
    in-scratch butterfly round per qubit, scatter. Arithmetic per
    amplitude matches the k separate passes it replaces — the win is
    k memory passes collapsing into one. *)
 let seg_had (re : float array) (im : float array) (bits : int array)
-    (offs : int array) (pre : sweep option) lo hi =
-  let dim = Array.length offs in
-  let k = Array.length bits in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  for i = lo to hi - 1 do
-    let base = expand bits i in
-    (match pre with
-    | None -> gather_plain re im offs ar ai base
-    | Some sw -> gather_pre re im offs ar ai sw base);
-    for b = 0 to k - 1 do
-      let st = 1 lsl b in
-      for x = 0 to dim - 1 do
-        if x land st = 0 then begin
-          let y = x lor st in
-          let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-          let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-          Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-          Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-          Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-          Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-        end
-      done
-    done;
-    for j = 0 to dim - 1 do
-      let idx = base lor Array.unsafe_get offs j in
-      Array.unsafe_set re idx (Array.unsafe_get ar j);
-      Array.unsafe_set im idx (Array.unsafe_get ai j)
-    done
-  done
-
-(* Slab-local Hadamard kernel (all block bits below the slab bit).
-   Caller-provided scratch, as in {!seg_perm_sl}. *)
-let seg_had_sl (re : float array) (im : float array) (bits : int array)
     (offs : int array) (pre : sweep option) (ar : float array)
     (ai : float array) sbase lo hi =
   let dim = Array.length offs in
@@ -1122,7 +1011,7 @@ let seg_had_sl (re : float array) (im : float array) (bits : int array)
     let lbase = expand bits i in
     (match pre with
     | None -> gather_plain re im offs ar ai lbase
-    | Some sw -> gather_pre_sl re im offs ar ai sw (sbase lor lbase) lbase);
+    | Some sw -> gather_pre re im offs ar ai sw (sbase lor lbase) lbase);
     for b = 0 to k - 1 do
       let st = 1 lsl b in
       for x = 0 to dim - 1 do
@@ -1204,26 +1093,9 @@ let seg_had_high (sl_re : float array array) (sl_im : float array array)
     end
   done
 
+(* Diagonal block: local writes, bit tests on the global index
+   ([sbase lor x]). Diagonals never cross slabs whatever their bits. *)
 let seg_diag_block (re : float array) (im : float array) (bits : int array)
-    (ph_re : float array) (ph_im : float array) lo hi =
-  let k = Array.length bits in
-  for x = lo to hi - 1 do
-    let j = ref 0 in
-    for b = 0 to k - 1 do
-      if x land (1 lsl Array.unsafe_get bits b) <> 0 then
-        j := !j lor (1 lsl b)
-    done;
-    let pr = Array.unsafe_get ph_re !j and pi = Array.unsafe_get ph_im !j in
-    if not (pr = 1. && pi = 0.) then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pr *. r) -. (pi *. i);
-      im.(x) <- (pr *. i) +. (pi *. r)
-    end
-  done
-
-(* Sharded diagonal block: local writes, bit tests on the global index.
-   Diagonals never cross slabs whatever their bits. *)
-let seg_diag_block_sl (re : float array) (im : float array) (bits : int array)
     (ph_re : float array) (ph_im : float array) sbase lo hi =
   let k = Array.length bits in
   for x = lo to hi - 1 do
@@ -1240,22 +1112,6 @@ let seg_diag_block_sl (re : float array) (im : float array) (bits : int array)
       im.(x) <- (pr *. i) +. (pi *. r)
     end
   done
-
-(* Chunk a kernel's index range over the pool when the *state* (not
-   the compressed range) is big enough to amortize the pool. *)
-let run_seg s stop seg =
-  if size s <= par_threshold then seg 0 stop
-  else
-    Par.parallel_for (Par.global ()) ~start:0 ~stop (fun lo hi -> seg lo hi)
-
-(* Slab-range driver: one call per pool chunk over a contiguous slab
-   range, so kernels can allocate group scratch once per chunk instead
-   of once per slab (a wide block's scratch times hundreds of slabs is
-   real GC pressure). Slabs hold disjoint amplitudes, so any chunking
-   is bit-identical. *)
-let run_slab_ranges s f =
-  if size s <= par_threshold then f 0 (slab_count s)
-  else Par.parallel_for (Par.global ()) ~start:0 ~stop:(slab_count s) f
 
 (* The ping-pong scratch slab set shared by the out-of-place kernels of
    one [execute] (allocated on first use, then recycled: the state's
@@ -1280,104 +1136,82 @@ let bits_local s (bits : int array) =
   let k = Array.length bits in
   k = 0 || bits.(k - 1) < s.sb
 
+(* Out-of-place kernels finish by swapping the state onto their output:
+   the old slabs become the next kernel's scratch. *)
+let swap_in s scratch (out_re, out_im) =
+  scratch := Some (s.sl_re, s.sl_im);
+  s.sl_re <- out_re;
+  s.sl_im <- out_im
+
 let exec_kernel s scratch = function
   | K_gate g -> apply s g
   | K_sweep sw -> apply_sweep s sw
   | K_diag { bits; ph_re; ph_im } ->
-      if not (sharded s) then
-        run_seg s (size s)
-          (seg_diag_block s.sl_re.(0) s.sl_im.(0) bits ph_re ph_im)
-      else
-        run_slabs s (fun sl ->
-            seg_diag_block_sl s.sl_re.(sl) s.sl_im.(sl) bits ph_re ph_im
-              (sl lsl s.sb) 0 (slab_size s))
+      run_slabs s (fun sl lo hi ->
+          seg_diag_block s.sl_re.(sl) s.sl_im.(sl) bits ph_re ph_im
+            (sl lsl s.sb) lo hi)
   | K_perm { pre; bits; offs; perm; ph } ->
-      let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s
-          (size s lsr k)
-          (seg_perm s.sl_re.(0) s.sl_im.(0) bits offs perm ph pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
+      if bits_local s bits then begin
         let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
+        run_chunks s ~units:(slab_size s lsr Array.length bits)
+          (fun slo shi lo hi ->
             let ar = Array.make dim 0. and ai = Array.make dim 0. in
             for sl = slo to shi - 1 do
-              seg_perm_sl s.sl_re.(sl) s.sl_im.(sl) bits offs perm ph pre ar
-                ai (sl lsl s.sb) 0 groups
+              seg_perm s.sl_re.(sl) s.sl_im.(sl) bits offs perm ph pre ar ai
+                (sl lsl s.sb) lo hi
             done)
       end
       else begin
         (* cross-slab: destination-major streaming, out-of-place *)
         let pinv = Array.make (Array.length perm) 0 in
         Array.iteri (fun c r -> Array.unsafe_set pinv r c) perm;
-        let out_re, out_im = acquire_scratch s scratch in
-        let runs = size s lsr bits.(0) in
-        (if size s <= par_threshold then
-           seg_perm_stream s out_re out_im bits offs pinv ph pre 0 runs
-         else
-           Par.parallel_for (Par.global ()) ~start:0 ~stop:runs (fun lo hi ->
-               seg_perm_stream s out_re out_im bits offs pinv ph pre lo hi));
-        scratch := Some (s.sl_re, s.sl_im);
-        s.sl_re <- out_re;
-        s.sl_im <- out_im
+        let ((out_re, out_im) as out) = acquire_scratch s scratch in
+        run_range s (size s lsr bits.(0))
+          (seg_perm_stream s out_re out_im bits offs pinv ph pre);
+        swap_in s scratch out
       end
   | K_perm_full { inv; ph } ->
-      let ssz = slab_size s in
-      let out_re, out_im = acquire_scratch s scratch in
-      if not (sharded s) then
-        run_seg s (size s)
-          (seg_perm_full s.sl_re.(0) s.sl_im.(0) out_re.(0) out_im.(0) inv ph)
+      let ((out_re, out_im) as out) = acquire_scratch s scratch in
+      (* one slab: the per-read slab lookup cost 12-15% at 14-16 qubits *)
+      if slab_count s = 1 then
+        run_slabs s (fun _ lo hi ->
+            seg_perm_full s.sl_re.(0) s.sl_im.(0) out_re.(0) out_im.(0) inv ph
+              lo hi)
       else
-        run_slabs s (fun sl ->
-            seg_perm_full_sh s out_re.(sl) out_im.(sl) inv ph (sl lsl s.sb) ssz);
-      (* ping-pong: the old slabs become the next op's scratch *)
-      scratch := Some (s.sl_re, s.sl_im);
-      s.sl_re <- out_re;
-      s.sl_im <- out_im
+        run_slabs s (fun sl lo hi ->
+            seg_perm_full_sh s out_re.(sl) out_im.(sl) inv ph (sl lsl s.sb) lo
+              hi);
+      swap_in s scratch out
   | K_had { pre; bits; offs } ->
       let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s (size s lsr k) (seg_had s.sl_re.(0) s.sl_im.(0) bits offs pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
-        let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
-            let ar = Array.make dim 0. and ai = Array.make dim 0. in
-            for sl = slo to shi - 1 do
-              seg_had_sl s.sl_re.(sl) s.sl_im.(sl) bits offs pre ar ai
-                (sl lsl s.sb) 0 groups
-            done)
-      end
-      else begin
-        (* split: slab-local butterfly rounds first (with the pre-sweep
-           folded into their gather), then the cross-slab rounds stream
-           slab tuples in lockstep — same ascending-bit round order and
-           identical per-amplitude arithmetic as the one-pass kernel *)
-        let nlow = ref 0 in
-        while !nlow < k && bits.(!nlow) < s.sb do
-          incr nlow
-        done;
-        let nlow = !nlow in
-        (if nlow > 0 then begin
-           let lbits = Array.sub bits 0 nlow in
-           let loffs = offs_of lbits in
-           let groups = slab_size s lsr nlow in
-           let ldim = Array.length loffs in
-           run_slab_ranges s (fun slo shi ->
-               let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
-               for sl = slo to shi - 1 do
-                 seg_had_sl s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai
-                   (sl lsl s.sb) 0 groups
-               done)
-         end
-         else
-           match pre with
-           | Some sw ->
-               run_slabs s (fun sl ->
-                   seg_sweep_mul s.sl_re.(sl) s.sl_im.(sl) sw (sl lsl s.sb) 0
-                     (slab_size s))
-           | None -> ());
+      (* slab-local butterfly rounds (all of them when every bit is below
+         the slab bit), with the pre-sweep folded into their gather *)
+      let nlow = ref 0 in
+      while !nlow < k && bits.(!nlow) < s.sb do
+        incr nlow
+      done;
+      let nlow = !nlow in
+      (if nlow > 0 then begin
+         let lbits = if nlow = k then bits else Array.sub bits 0 nlow in
+         let loffs = if nlow = k then offs else offs_of lbits in
+         let ldim = Array.length loffs in
+         run_chunks s ~units:(slab_size s lsr nlow) (fun slo shi lo hi ->
+             let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
+             for sl = slo to shi - 1 do
+               seg_had s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai
+                 (sl lsl s.sb) lo hi
+             done)
+       end
+       else
+         match pre with
+         | Some sw ->
+             run_slabs s (fun sl lo hi ->
+                 seg_sweep_mul s.sl_re.(sl) s.sl_im.(sl) sw (sl lsl s.sb) lo hi)
+         | None -> ());
+      if nlow < k then begin
+        (* cross-slab rounds stream slab tuples in lockstep — same
+           ascending-bit round order and identical per-amplitude
+           arithmetic as the one-pass kernel *)
         let kh = k - nlow in
         let hoffs = offs_of (Array.init kh (fun i -> bits.(nlow + i) - s.sb)) in
         let hmask =
@@ -1387,31 +1221,22 @@ let exec_kernel s scratch = function
           done;
           !m
         in
-        let sl_re = s.sl_re and sl_im = s.sl_im in
-        let slabs = slab_count s in
-        let body lo hi = seg_had_high sl_re sl_im hoffs hmask kh slabs lo hi in
-        if size s <= par_threshold then body 0 (slab_size s)
-        else
-          Par.parallel_for (Par.global ()) ~start:0 ~stop:(slab_size s) body
+        run_range s (slab_size s)
+          (seg_had_high s.sl_re s.sl_im hoffs hmask kh (slab_count s))
       end
   | K_dense { pre; bits; offs; u_re; u_im } ->
       let k = Array.length bits in
-      if not (sharded s) then
-        run_seg s
-          (size s lsr k)
-          (seg_dense s.sl_re.(0) s.sl_im.(0) bits offs u_re u_im pre)
-      else if bits_local s bits then begin
-        let groups = slab_size s lsr k in
+      if bits_local s bits then begin
         let dim = Array.length offs in
-        run_slab_ranges s (fun slo shi ->
+        run_chunks s ~units:(slab_size s lsr k) (fun slo shi lo hi ->
             let ar = Array.make dim 0. and ai = Array.make dim 0. in
             let br = Array.make dim 0. and bi = Array.make dim 0. in
             for sl = slo to shi - 1 do
-              seg_dense_sl s.sl_re.(sl) s.sl_im.(sl) bits offs u_re u_im pre
-                ar ai br bi (sl lsl s.sb) 0 groups
+              seg_dense s.sl_re.(sl) s.sl_im.(sl) bits offs u_re u_im pre ar ai
+                br bi (sl lsl s.sb) lo hi
             done)
       end
-      else run_seg s (size s lsr k) (seg_dense_g s bits offs u_re u_im pre)
+      else run_range s (size s lsr k) (seg_dense_g s bits offs u_re u_im pre)
 
 (* Shard classification for telemetry: slab-local kernels touch no
    amplitude outside their slab (diagonals qualify at any layout). *)

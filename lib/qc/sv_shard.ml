@@ -4,8 +4,9 @@
     amplitudes each (split unboxed re/im float arrays per slab); basis
     index bit [q] is the value of qubit [q], and global index [x] lives
     in slab [x lsr sb] at local offset [x land smask]. States of at most
-    {!single_slab_max} qubits keep a single slab — exactly the flat
-    PR 8 layout, byte for byte — while wider states shard so that
+    {!single_slab_max} qubits keep a single slab — a flat state is just
+    the one-slab case, and every kernel runs on it unchanged — while
+    wider states shard so that
 
     - allocation stays incremental: hundreds of ~512 kB slabs are far
       cheaper to allocate and collect than two multi-hundred-MB arrays
@@ -46,9 +47,9 @@ let max_qubits () =
 
 (* --- shard-bits selection --- *)
 
-(* Below this width a single slab wins: the flat layout has no indirection
-   and every historical test/bench regime (≤ 20q) keeps its exact code
-   path. 2^20 amplitudes = 16 MB of state, still a cheap allocation. *)
+(* Below this width a single slab wins: no cross-slab kernel ever runs,
+   and the chunk driver splits the one slab over the pool. 2^20
+   amplitudes = 16 MB of state, still a cheap allocation. *)
 let single_slab_max = 20
 
 (* Auto-sharded slabs cap at 2^16 amplitudes (two 512 kB arrays): big
@@ -149,8 +150,7 @@ let size s = 1 lsl s.n
 let slab_count s = Array.length s.sl_re
 let slab_size s = s.smask + 1
 
-(** [sharded s] holds when the state spans more than one slab (the flat
-    fast paths apply otherwise). *)
+(** [sharded s] holds when the state spans more than one slab. *)
 let sharded s = s.sb < s.n
 
 (* Global-index accessors. Hot loops use the slab arrays directly; these
@@ -172,7 +172,7 @@ let prob s x =
 (* Iterate the slab-aligned pieces of global range [lo, hi):
    [f slab base lo_local hi_local], with [base = slab lsl sb]. Reductions
    use this to walk slabs in ascending global order, which keeps their
-   float summation order identical to the flat layout's. *)
+   float summation order the same for every slab size. *)
 let iter_pieces s lo hi f =
   let i = ref lo in
   while !i < hi do

@@ -86,29 +86,31 @@ let test_run_deterministic () =
   if run () <> run () then
     Alcotest.fail "two in-process corpus runs disagree"
 
-(* the statevector kernel-plan layer and the worker count must never
-   leak into corpus records: planned vs --no-plan and --jobs 1 vs 4
-   produce byte-identical snapshots on the smoke slice *)
+(* the statevector slab layout and the worker count must never leak
+   into corpus records: the default layout vs --shard-bits 3 (every
+   multi-qubit kernel crosses slabs) and --jobs 1 vs 4 produce
+   byte-identical snapshots on the smoke slice *)
 let test_run_plan_jobs_invariant () =
   let snap () =
     Obs.Json.to_string
       (Corpus.snapshot_to_json
          (Corpus.snapshot (Corpus.run ~config:no_timings Corpus.smoke_manifest)))
   in
-  let with_setup ~plan ~jobs f =
-    Qc.Statevector.set_plan_enabled plan;
+  let with_setup ~shard ~jobs f =
+    Qc.Statevector.set_shard_bits shard;
     Par.set_default_jobs jobs;
     Fun.protect
       ~finally:(fun () ->
-        Qc.Statevector.set_plan_enabled true;
+        Qc.Statevector.set_shard_bits None;
         Par.set_default_jobs 1)
       f
   in
-  let planned_j1 = with_setup ~plan:true ~jobs:1 snap in
-  let planned_j4 = with_setup ~plan:true ~jobs:4 snap in
-  let legacy_j1 = with_setup ~plan:false ~jobs:1 snap in
+  let planned_j1 = with_setup ~shard:None ~jobs:1 snap in
+  let planned_j4 = with_setup ~shard:None ~jobs:4 snap in
+  let sharded_j1 = with_setup ~shard:(Some 3) ~jobs:1 snap in
   Alcotest.(check string) "snapshot invariant under --jobs" planned_j1 planned_j4;
-  Alcotest.(check string) "snapshot invariant under --no-plan" planned_j1 legacy_j1
+  Alcotest.(check string) "snapshot invariant under --shard-bits 3" planned_j1
+    sharded_j1
 
 (* ---------------- snapshot persistence ---------------- *)
 

@@ -1,7 +1,6 @@
 (* The multicore execution runtime: pool primitives, the determinism
    contract (any jobs count = the ~jobs:1 reference, bit for bit), the
-   gate-fusion prepass, the shared-CDF sampler and the sparse histogram
-   representation. *)
+   shared-CDF sampler and the sparse histogram representation. *)
 
 open Qc
 
@@ -237,54 +236,6 @@ let test_obs_totals_under_jobs () =
   Alcotest.(check bool) "Pauli-frame totals jobs-invariant" true
     (totals ghz3 1 = totals ghz3 4)
 
-(* --- gate fusion --- *)
-
-let amp_close a b =
-  let d = Complex.norm (Complex.sub a b) in
-  d < 1e-9
-
-let same_amplitudes s1 s2 =
-  Statevector.size s1 = Statevector.size s2
-  && (let ok = ref true in
-      for x = 0 to Statevector.size s1 - 1 do
-        if not (amp_close (Statevector.amplitude s1 x) (Statevector.amplitude s2 x))
-        then ok := false
-      done;
-      !ok)
-
-(* [run ~fuse:true] skips the prepass below [fuse_min_qubits], so force
-   it through the prepass entry points to keep small circuits covered. *)
-let run_fused c =
-  let s = Statevector.init (Circuit.num_qubits c) in
-  List.iter (Statevector.apply_op s)
-    (Statevector.fuse_gates (Circuit.to_array c));
-  s
-
-let fusion_equiv =
-  Helpers.prop "fused = unfused on random Clifford+T" ~count:60
-    QCheck2.Gen.(
-      let* seed = int_bound 1_000_000 in
-      Helpers.qcircuit_gen ~diagonals:(seed mod 2 = 0) 4 40)
-    (fun c -> same_amplitudes (run_fused c) (Statevector.run ~fuse:false c))
-
-let test_fusion_rz_swap () =
-  (* gates the random generator never emits: Rz runs, Swap barriers, Mcz *)
-  let c =
-    Circuit.of_gates 4
-      [ Gate.H 0; Gate.Rz (0.3, 0); Gate.Rz (-1.1, 0); Gate.T 0; Gate.Z 0;
-        Gate.Cz (0, 1); Gate.Swap (1, 2); Gate.H 2; Gate.S 2; Gate.Sdg 2;
-        Gate.Mcz [ 0; 1; 2; 3 ]; Gate.Ccz (0, 1, 3); Gate.Rz (0.7, 3);
-        Gate.T 1; Gate.Sdg 2 ]
-  in
-  Alcotest.(check bool) "equivalent" true
-    (same_amplitudes (run_fused c) (Statevector.run ~fuse:false c))
-
-let test_fusion_preserves_exact_basis () =
-  (* X-only runs fuse to an exact permutation: amplitudes stay 0/1 *)
-  let c = Circuit.of_gates 2 [ Gate.X 0; Gate.X 0; Gate.X 0; Gate.X 1 ] in
-  let s = run_fused c in
-  Alcotest.(check bool) "exactly |11>" true (Statevector.prob s 0b11 = 1.)
-
 (* --- sampler: binary search = linear scan --- *)
 
 let test_sampler_matches_sample () =
@@ -384,10 +335,6 @@ let () =
           Alcotest.test_case "noiseless fast path" `Quick test_shots_jobs_invariant_noiseless;
           Alcotest.test_case "runs_statistics" `Quick test_runs_statistics_jobs_invariant;
           Alcotest.test_case "telemetry totals" `Quick test_obs_totals_under_jobs ] );
-      ( "fusion",
-        [ fusion_equiv;
-          Alcotest.test_case "rz/swap/mcz circuit" `Quick test_fusion_rz_swap;
-          Alcotest.test_case "exact basis preserved" `Quick test_fusion_preserves_exact_basis ] );
       ( "sampling",
         [ Alcotest.test_case "binary search = linear scan" `Quick test_sampler_matches_sample;
           Alcotest.test_case "sparse counts api" `Quick test_sparse_counts_api;

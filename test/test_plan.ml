@@ -93,6 +93,36 @@ let prop_general_dense =
       Helpers.qcircuit_gen ~diagonals:(seed mod 2 = 0) 4 50)
     plan_equiv
 
+(* Gates the random generators never emit: Rz runs, a Swap barrier, Mcz
+   and Ccz; then an X run that composes to an exact permutation. Each
+   replays on one slab and on 2-amplitude slabs (every multi-qubit
+   kernel crosses slabs). *)
+let rz_swap_mcz =
+  Circuit.of_gates 4
+    [ Gate.H 0; Gate.Rz (0.3, 0); Gate.Rz (-1.1, 0); Gate.T 0; Gate.Z 0;
+      Gate.Cz (0, 1); Gate.Swap (1, 2); Gate.H 2; Gate.S 2; Gate.Sdg 2;
+      Gate.Mcz [ 0; 1; 2; 3 ]; Gate.Ccz (0, 1, 3); Gate.Rz (0.7, 3);
+      Gate.T 1; Gate.Sdg 2 ]
+
+let x_run = Circuit.of_gates 2 [ Gate.X 0; Gate.X 0; Gate.X 0; Gate.X 1 ]
+
+let with_shard sb f =
+  Statevector.set_shard_bits sb;
+  Fun.protect ~finally:(fun () -> Statevector.set_shard_bits None) f
+
+let test_fixed_circuits () =
+  List.iter
+    (fun shard ->
+      let layout = match shard with None -> "one slab" | Some _ -> "sharded" in
+      with_shard shard (fun () ->
+          Alcotest.(check bool) ("rz/swap/mcz circuit, " ^ layout) true
+            (plan_equiv rz_swap_mcz);
+          Alcotest.(check bool) ("X run, " ^ layout) true (plan_equiv x_run);
+          (* the X run fuses to an exact permutation: amplitudes stay 0/1 *)
+          Alcotest.(check bool) ("X run exactly |11>, " ^ layout) true
+            (Statevector.prob (run_planned x_run) 0b11 = 1.)))
+    [ None; Some 1 ]
+
 (* --- classification: stats match the circuit's structure --- *)
 
 let test_stats_diag () =
@@ -259,7 +289,9 @@ let test_noise_sampler_reuse () =
 let () =
   Alcotest.run "plan"
     [ ( "replay-equivalence",
-        [ prop_diag_heavy; prop_perm_heavy; prop_general_dense ] );
+        [ prop_diag_heavy; prop_perm_heavy; prop_general_dense;
+          Alcotest.test_case "plan = unfused on fixed circuits" `Quick
+            test_fixed_circuits ] );
       ( "classification",
         [ Alcotest.test_case "diag-heavy stats" `Quick test_stats_diag;
           Alcotest.test_case "perm block" `Quick test_stats_perm;

@@ -32,14 +32,25 @@ let same_amplitudes s1 s2 =
       done;
       !ok)
 
-(* Sharded replay (2-amplitude slabs: the most adversarial layout, every
-   multi-qubit kernel crosses slabs) equals the flat replay. *)
+let bit_identical s1 s2 =
+  let identical = ref true in
+  for x = 0 to Statevector.size s1 - 1 do
+    let a = Statevector.amplitude s1 x and b = Statevector.amplitude s2 x in
+    if not (a.re = b.re && a.im = b.im) then identical := false
+  done;
+  !identical
+
+(* Sharded runs (down to 2-amplitude slabs: the most adversarial layout,
+   every multi-qubit kernel crosses slabs) equal the flat runs bit for
+   bit, both for plan replay and gate by gate. *)
 let shard_equiv c =
-  let flat = run_planned c in
+  let gate_by_gate () = Statevector.run ~fuse:false c in
+  let flat_plan = run_planned c and flat_gates = gate_by_gate () in
   let ok = ref true in
   for sb = 1 to 3 do
-    let sharded = with_shard (Some sb) (fun () -> run_planned c) in
-    if not (same_amplitudes flat sharded) then ok := false
+    with_shard (Some sb) (fun () ->
+        if not (bit_identical flat_plan (run_planned c)) then ok := false;
+        if not (bit_identical flat_gates (gate_by_gate ())) then ok := false)
   done;
   !ok
 
@@ -122,33 +133,32 @@ let wide_circuit =
                 @ List.init 14 (fun q -> Gate.Cnot (q, q + 1))))
        @ List.init 6 (fun q -> Gate.H q)))
 
-let bit_identical s1 s2 =
-  let identical = ref true in
-  for x = 0 to Statevector.size s1 - 1 do
-    let a = Statevector.amplitude s1 x and b = Statevector.amplitude s2 x in
-    if not (a.re = b.re && a.im = b.im) then identical := false
-  done;
-  !identical
-
-let run_config ~jobs ~shard c =
+let run_config ?fuse ~jobs ~shard c =
   Statevector.clear_plan_cache ();
-  with_jobs jobs (fun () -> with_shard shard (fun () -> Statevector.run c))
+  with_jobs jobs (fun () -> with_shard shard (fun () -> Statevector.run ?fuse c))
 
+(* Planned and gate-by-gate runs, each against its own jobs=1 single-slab
+   reference. At shard=auto the 15-qubit state is one slab above
+   par_threshold, so the kernels split that slab over the pool. *)
 let test_bit_identity_matrix () =
   let c = Lazy.force wide_circuit in
-  let reference = run_config ~jobs:1 ~shard:None c in
   List.iter
-    (fun jobs ->
+    (fun fuse ->
+      let reference = run_config ~fuse ~jobs:1 ~shard:None c in
       List.iter
-        (fun shard ->
-          let s = run_config ~jobs ~shard c in
-          Alcotest.(check bool)
-            (Printf.sprintf "bit-identical at jobs=%d shard=%s" jobs
-               (match shard with None -> "auto" | Some b -> string_of_int b))
-            true
-            (bit_identical reference s))
-        [ None; Some 8; Some 11; Some 14 ])
-    [ 1; 2; 4 ]
+        (fun jobs ->
+          List.iter
+            (fun shard ->
+              let s = run_config ~fuse ~jobs ~shard c in
+              Alcotest.(check bool)
+                (Printf.sprintf "bit-identical at fuse=%b jobs=%d shard=%s" fuse
+                   jobs
+                   (match shard with None -> "auto" | Some b -> string_of_int b))
+                true
+                (bit_identical reference s))
+            [ None; Some 8; Some 11; Some 14 ])
+        [ 1; 2; 4 ])
+    [ true; false ]
 
 let test_sampler_across_configs () =
   let c = Lazy.force wide_circuit in

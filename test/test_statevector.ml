@@ -110,7 +110,21 @@ let test_sample_distribution () =
 
 let test_most_likely () =
   let s = Statevector.run (Circuit.of_gates 2 [ Gate.X 1 ]) in
-  Alcotest.(check int) "most likely" 0b10 (Statevector.most_likely s)
+  Alcotest.(check int) "most likely" 0b10 (Statevector.most_likely s);
+  (* a two-way tie between |10> and |11>: the first maximum wins *)
+  let tie = Statevector.run (Circuit.of_gates 2 [ Gate.X 1; Gate.H 0 ]) in
+  Alcotest.(check int) "tie picks the first" 0b10 (Statevector.most_likely tie);
+  (* 4-amplitude slabs: the maximum sits in the third slab, and a tie
+     across slabs still picks the lower index *)
+  Statevector.set_shard_bits (Some 2);
+  Fun.protect
+    ~finally:(fun () -> Statevector.set_shard_bits None)
+    (fun () ->
+      let s = Statevector.run (Circuit.of_gates 4 [ Gate.X 1; Gate.X 3 ]) in
+      Alcotest.(check int) "sharded most likely" 0b1010 (Statevector.most_likely s);
+      let tie = Statevector.run (Circuit.of_gates 4 [ Gate.X 1; Gate.H 3 ]) in
+      Alcotest.(check int) "sharded tie picks the first" 0b0010
+        (Statevector.most_likely tie))
 
 (* ---- unitary extraction ---- *)
 
