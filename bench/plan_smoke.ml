@@ -1,7 +1,8 @@
 (* Kernel-plan smoke test, wired into the default test alias.
 
    Runs the qasm_tool `sim` subcommand on a 12-qubit circuit that is wide
-   enough to engage the plan layer (fuse_min_qubits = 10), three ways:
+   enough to engage the plan layer (fuse_min_qubits = 10) and ends in the
+   hidden shift's X^s·CZ·X^s shape between two H layers, three ways:
    on one slab at --jobs 1, on one slab at --jobs 4, and on 8-amplitude
    slabs (--shard-bits 3, so the cross-slab kernels run). Guards:
 
@@ -34,6 +35,20 @@ let qasm =
       Buffer.add_string b (Printf.sprintf "cx q[%d],q[%d];\n" q (q + 1))
     done
   done;
+  for q = 0 to 11 do
+    Buffer.add_string b (Printf.sprintf "h q[%d];\n" q)
+  done;
+  (* the hidden shift's compute/uncompute shape: X^s, CZ pairs, X^s,
+     then an H layer — the plan pushes the X's through the CZ run and
+     folds the resulting sweep into that layer's (cross-slab) pass *)
+  let shift () =
+    List.iter (fun q -> Buffer.add_string b (Printf.sprintf "x q[%d];\n" q)) [ 0; 3; 4; 7; 10 ]
+  in
+  shift ();
+  for p = 0 to 5 do
+    Buffer.add_string b (Printf.sprintf "cz q[%d],q[%d];\n" (2 * p) ((2 * p) + 1))
+  done;
+  shift ();
   for q = 0 to 11 do
     Buffer.add_string b (Printf.sprintf "h q[%d];\n" q)
   done;

@@ -26,7 +26,9 @@
       statevector's.
     - {b One shared sample table}, for other circuits without gate noise
       ([p1 = p2 = gamma = 0]): the circuit is simulated once and every
-      shot draws from its cumulative distribution.
+      shot draws from its cumulative distribution — over the support
+      when the state stays within {!Sparse.budget}, else over all 2^n
+      amplitudes; both tables draw the same outcomes.
     - {b Gate by gate, sparse then dense} ({!run_shot_raw}), for every
       other circuit: each shot applies its gates and sampled errors to a
       {!Sparse} state, which costs the support of the state, not 2^n —
@@ -353,16 +355,26 @@ let run_frame_shot st params smp gates qubits n =
 (* Shot batches                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The noiseless fast path's sampler: over the support when the state
+   stays sparse (an oracle circuit keeps a handful of amplitudes), over
+   the dense state otherwise. Both draw the same outcome for a seed. *)
+type readout_sampler = Sparse_smp of Sparse.sampler | Dense_smp of Statevector.sampler
+
+let sample_with smp st =
+  match smp with
+  | Sparse_smp s -> Sparse.sample_with s st
+  | Dense_smp d -> Statevector.sample_with d st
+
 (* One-slot memo for the noiseless fast path: [runs_statistics], device
    retries and repeated shell/CLI invocations re-sample the same compiled
    circuit, and the simulated state plus its CDF are pure functions of
    that circuit. The statevector's plan cache already makes the
-   re-simulation itself cheap — this skips the whole 2^n simulation and
-   CDF rebuild. The sampler CDF shares the state's slab layout, so the
+   re-simulation itself cheap — this skips the whole simulation and
+   CDF rebuild. A dense CDF shares the state's slab layout, so the
    memo never pins a single contiguous 2^n array on wide sharded runs,
    and draws are bit-identical for any shard-bits setting. Main-domain
    only (like Obs); workers never call run_shots. *)
-let sampler_memo : (string * Statevector.sampler) option ref = ref None
+let sampler_memo : (string * readout_sampler) option ref = ref None
 
 let sampler_for circuit =
   let key = Circuit.structural_key circuit in
@@ -371,7 +383,11 @@ let sampler_for circuit =
       if Obs.enabled () then Obs.count "qc.noise.sampler_reuse";
       smp
   | _ ->
-      let smp = Statevector.sampler (Statevector.run circuit) in
+      let smp =
+        match Sparse.run ~budget:(Sparse.budget (Circuit.num_qubits circuit)) circuit with
+        | Some s -> Sparse_smp (Sparse.sampler s)
+        | None -> Dense_smp (Statevector.sampler (Statevector.run circuit))
+      in
       sampler_memo := Some (key, smp);
       smp
 
@@ -433,15 +449,16 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     end
     else if noiseless then begin
       (* Without gate noise every shot runs the same circuit: simulate
-         once (memoized across calls — one plan, one sampler CDF), then
-         draw each readout from the shared cumulative table (binary
-         search instead of a 2^n scan per shot). Still seeded per shot,
-         so the result is jobs-independent like the general path. *)
+         once (memoized across calls — one sparse run or plan, one
+         sampler CDF), then draw each readout from the shared cumulative
+         table (binary search instead of a scan per shot). Still seeded
+         per shot, so the result is jobs-independent like the general
+         path. *)
       let smp = sampler_for circuit in
       let c = counts_make n in
       for shot = 0 to shots - 1 do
         let st = shot_state ~seed shot in
-        counts_add c (readout st params n (Statevector.sample_with smp st)) 1
+        counts_add c (readout st params n (sample_with smp st)) 1
       done;
       c
     end

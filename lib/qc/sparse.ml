@@ -296,6 +296,60 @@ let sample st s =
   done;
   !out
 
+(** A cumulative distribution over the support, for many draws from one
+    state: the entries of {!Statevector.sampler}'s table at the support
+    indices, ascending. The dense table adds an exact zero at every other
+    index, which leaves each running sum unchanged, so both tables hold
+    the same values there; the sums follow the dense order (one running
+    sum, or above {!Statevector.par_threshold} amplitudes one per fixed
+    block, offset by the sum of the blocks before it). *)
+type sampler = { width : int; keys : int array; cdf : float array }
+
+let sampler s =
+  let o = ascending s in
+  let keys = Array.map (fun i -> s.idx.(i)) o in
+  let cdf = Array.make s.len 0. in
+  (* the dense sum's association: (acc + re²) + im² *)
+  let add acc i = acc +. (s.re.(i) *. s.re.(i)) +. (s.im.(i) *. s.im.(i)) in
+  let size = 1 lsl s.n in
+  let block =
+    if size <= Statevector.par_threshold then fun _ -> 0
+    else
+      let w = size / Statevector.reduce_blocks in
+      fun x -> x / w
+  in
+  let parts = Array.make Statevector.reduce_blocks 0. in
+  Array.iter (fun i -> parts.(block s.idx.(i)) <- add parts.(block s.idx.(i)) i) o;
+  let offs = Array.make Statevector.reduce_blocks 0. in
+  for b = 1 to Statevector.reduce_blocks - 1 do
+    offs.(b) <- offs.(b - 1) +. parts.(b - 1)
+  done;
+  let acc = ref 0. and cur = ref (-1) in
+  Array.iteri
+    (fun k i ->
+      let b = block keys.(k) in
+      if b <> !cur then begin
+        cur := b;
+        acc := offs.(b)
+      end;
+      acc := add !acc i;
+      cdf.(k) <- !acc)
+    o;
+  { width = s.n; keys; cdf }
+
+(** [sample_with smp st] draws one outcome like
+    {!Statevector.sample_with} on the dense table: the first index whose
+    cumulative probability passes the draw, or the last basis state. *)
+let sample_with smp st =
+  let r = Random.State.float st 1. in
+  let len = Array.length smp.cdf in
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if smp.cdf.(mid) > r then hi := mid else lo := mid + 1
+  done;
+  if !lo < len then smp.keys.(!lo) else (1 lsl smp.width) - 1
+
 (** [most_likely s] is the basis state with the largest probability, the
     smallest such index on ties, like {!Statevector.most_likely}. *)
 let most_likely s =

@@ -435,19 +435,13 @@ let apply_sweep s sw =
       seg_phase_sweep s.sl_re.(sl) s.sl_im.(sl) sw.lo_re sw.lo_im sw.hi_re
         sw.hi_im sw.half_mask sw.h sw.straddling (sl lsl s.sb) lo hi)
 
-(* Qubit of a 1-qubit gate, or -1 for multi-qubit gates. *)
-let q1_of = function
-  | Gate.X q | Gate.Y q | Gate.Z q | Gate.H q | Gate.S q | Gate.Sdg q | Gate.T q
-  | Gate.Tdg q
-  | Gate.Rz (_, q) ->
-      q
-  | _ -> -1
-
-(* A diagonal run becomes one sweep only when it contains at least this
-   many 1-qubit phase gates. Those are the passes a sweep collapses;
-   multi-qubit CZ/CCZ/MCZ kernels already touch only a 2^-k subset of
-   amplitudes, so a run of bare CZs (hidden-shift oracles) or QFT's
-   length-2 Rz runs is cheaper unfused. *)
+(* A run of diagonal (and X) gates becomes one sweep when it holds at
+   least this many diagonal gates, CZ/CCZ/MCZ counted like 1-qubit
+   phases. Inside a plan the alternative is not the bare kernels but a
+   monomial or diagonal block: a 16-bit [K_diag] tests 16 bits per
+   amplitude (about 265 ms on one core for the inner product's 11 CZs
+   at 22 qubits), while a sweep folds into the next block's gather for
+   free. Shorter runs (QFT's length-2 Rz runs) stay in blocks. *)
 let min_diag_run = 3
 
 let is_diag = function

@@ -28,6 +28,12 @@
       the gather of the next block — or, for a full-width monomial
       block, folded into its phase table {e at build time}, so the
       sweep's memory pass disappears from the schedule entirely;
+    - X gates inside a diagonal run join it as a running XOR mask (the
+      X frame): X_m·D·X_m is D with each term's condition flipped by m,
+      so the run's terms enter the sweep with flipped [want]s and only
+      the leftover mask is emitted, as X gates after the sweep. The
+      hidden shift's X^s·O_f·X^s thus becomes one sweep folded into
+      the next Hadamard pass;
     - dense-matrix entries within 1e-12 of 0/±1 are snapped exact, so
       classical blocks replay with exact arithmetic like the specialized
       kernels they replace.
@@ -148,15 +154,19 @@ let bits_of_mask m =
   done;
   bits
 
-(* offs.(j) scatters local index j back to the global bit positions. *)
+(* offs.(j) scatters local index j back to the global bit positions.
+   Built by doubling: the upper half of each 2^(b+1) prefix is the lower
+   half with bits.(b) set, so the table costs O(2^k), not O(k·2^k). *)
 let offs_of (bits : int array) =
   let k = Array.length bits in
-  Array.init (1 lsl k) (fun j ->
-      let o = ref 0 in
-      for b = 0 to k - 1 do
-        if j land (1 lsl b) <> 0 then o := !o lor (1 lsl bits.(b))
-      done;
-      !o)
+  let offs = Array.make (1 lsl k) 0 in
+  for b = 0 to k - 1 do
+    let w = 1 lsl b and bit = 1 lsl bits.(b) in
+    for j = 0 to w - 1 do
+      Array.unsafe_set offs (w + j) (Array.unsafe_get offs j lor bit)
+    done
+  done;
+  offs
 
 let snap v =
   if Float.abs v < 1e-12 then 0.
@@ -479,27 +489,8 @@ let build circuit =
   let n = Circuit.num_qubits circuit in
   let gates = peephole (Circuit.to_array circuit) in
   let ng = Array.length gates in
-  (* pass 1: mark the maximal diagonal runs worth a separable sweep
-     (at least [min_diag_run] 1-qubit phase gates) *)
-  let in_sweep = Array.make (max 1 ng) false in
-  let i = ref 0 in
-  while !i < ng do
-    if is_diag gates.(!i) then begin
-      let j = ref !i and ones = ref 0 in
-      while !j < ng && is_diag gates.(!j) do
-        if q1_of gates.(!j) >= 0 then incr ones;
-        incr j
-      done;
-      if !ones >= min_diag_run then
-        for x = !i to !j - 1 do
-          in_sweep.(x) <- true
-        done;
-      i := !j
-    end
-    else incr i
-  done;
-  (* pass 2: greedy block grouping of everything else, folding each
-     pending sweep into the next dense/permutation block *)
+  (* greedy block grouping of everything outside sweep runs, folding
+     each pending sweep into the next dense/permutation block *)
   let ops = ref [] and blocks = ref 0 and fused = ref 0 in
   let emit k = ops := k :: !ops in
   let pending_sweep = ref None in
@@ -616,68 +607,89 @@ let build circuit =
     let pc = popcount u in
     pc <= max_mono_qubits && (!pend_n + extra) lsl pc <= max_block_work
   in
-  Array.iteri
-    (fun idx g ->
-      if in_sweep.(idx) then begin
-        if idx = 0 || not in_sweep.(idx - 1) then begin
-          (* run start: collect the whole run into one sweep *)
-          flush_block ();
-          emit_sweep_if_pending ();
-          let terms = ref [] and j = ref idx and count = ref 0 in
-          while !j < ng && in_sweep.(!j) do
-            (match dterms_of_gate gates.(!j) with
-            | Some ts -> terms := ts :: !terms
-            | None -> assert false);
-            incr count;
-            incr j
-          done;
-          incr blocks;
-          fused := !fused + !count;
-          pending_sweep :=
-            Some
-              (sweep_of_terms n
-                 (Array.of_list (List.concat (List.rev !terms))))
-        end
-      end
-      else begin
-        let gm = gate_mask g and gmono = is_monomial g in
-        if gmono && popcount gm > max_mono_qubits then begin
-          (* wide MCX/MCZ: straight through the specialized kernel *)
-          flush_block ();
-          emit_sweep_if_pending ();
-          emit (K_gate g)
-        end
-        else if !pend_n = 0 then start_pend g gm (if gmono then `Mono else `Had)
-        else begin
-          let u = !pend_mask lor gm in
-          let overlap = !pend_mask land gm <> 0 in
-          match !pend_kind with
-          | `Mono ->
-              if gmono && mono_fits u 1 then merge g u `Mono
-              else if (not gmono) && overlap && popcount u <= max_dense_qubits
-              then merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-          | `Had ->
-              if (not gmono) && (not overlap) && popcount u <= max_kron_qubits
-              then merge g u `Had
-              else if overlap && popcount u <= max_dense_qubits then
-                merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-          | `Dense ->
-              if popcount u <= max_dense_qubits then merge g u `Dense
-              else begin
-                flush_block ();
-                start_pend g gm (if gmono then `Mono else `Had)
-              end
-        end
-      end)
-    gates;
+  let group g =
+    let gm = gate_mask g and gmono = is_monomial g in
+    if gmono && popcount gm > max_mono_qubits then begin
+      (* wide MCX/MCZ: straight through the specialized kernel *)
+      flush_block ();
+      emit_sweep_if_pending ();
+      emit (K_gate g)
+    end
+    else if !pend_n = 0 then start_pend g gm (if gmono then `Mono else `Had)
+    else begin
+      let u = !pend_mask lor gm in
+      let overlap = !pend_mask land gm <> 0 in
+      match !pend_kind with
+      | `Mono ->
+          if gmono && mono_fits u 1 then merge g u `Mono
+          else if (not gmono) && overlap && popcount u <= max_dense_qubits
+          then merge g u `Dense
+          else begin
+            flush_block ();
+            start_pend g gm (if gmono then `Mono else `Had)
+          end
+      | `Had ->
+          if (not gmono) && (not overlap) && popcount u <= max_kron_qubits
+          then merge g u `Had
+          else if overlap && popcount u <= max_dense_qubits then
+            merge g u `Dense
+          else begin
+            flush_block ();
+            start_pend g gm (if gmono then `Mono else `Had)
+          end
+      | `Dense ->
+          if popcount u <= max_dense_qubits then merge g u `Dense
+          else begin
+            flush_block ();
+            start_pend g gm (if gmono then `Mono else `Had)
+          end
+    end
+  in
+  (* One walk over maximal runs of diagonal and X gates. A run holding
+     at least [min_diag_run] diagonal gates collects into one sweep with
+     its X gates pushed to the end: X_m·D·X_m is D with each term's
+     condition flipped by m, so a term read under the running mask m
+     wants [want lxor (mask land m)]. The leftover mask re-enters
+     grouping as X gates after the sweep. Every other gate is grouped
+     as it comes. *)
+  let frame g = is_diag g || match g with Gate.X _ -> true | _ -> false in
+  let i = ref 0 in
+  while !i < ng do
+    let j = ref !i and diags = ref 0 in
+    while !j < ng && frame gates.(!j) do
+      if is_diag gates.(!j) then incr diags;
+      incr j
+    done;
+    let j = max !j (!i + 1) in
+    if !diags < min_diag_run then
+      for x = !i to j - 1 do
+        group gates.(x)
+      done
+    else begin
+      flush_block ();
+      emit_sweep_if_pending ();
+      let terms = ref [] and m = ref 0 in
+      for x = !i to j - 1 do
+        match gates.(x) with
+        | Gate.X q -> m := !m lxor (1 lsl q)
+        | g -> (
+            match dterms_of_gate g with
+            | Some ts ->
+                let m = !m in
+                terms :=
+                  List.map (fun t -> { t with want = t.want lxor (t.mask land m) }) ts
+                  :: !terms
+            | None -> assert false)
+      done;
+      let left = bits_of_mask !m in
+      incr blocks;
+      fused := !fused + (j - !i) - Array.length left;
+      pending_sweep :=
+        Some (sweep_of_terms n (Array.of_list (List.concat (List.rev !terms))));
+      Array.iter (fun q -> group (Gate.X q)) left
+    end;
+    i := j
+  done;
   flush_block ();
   emit_sweep_if_pending ();
   let p =

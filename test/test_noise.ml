@@ -661,6 +661,55 @@ let test_sparse_telemetry () =
   | [ Obs.Str "dense" ] -> ()
   | _ -> Alcotest.fail "uniform superposition: expected support = dense"
 
+(* 32 amplitudes of unequal, non-dyadic magnitude spread over the
+   blocks of a 15-qubit state: their sums depend on the order. *)
+let spread =
+  Circuit.of_gates 15
+    (List.concat_map
+       (fun q -> [ Gate.H q; Gate.Rz (0.3 +. (0.41 *. float_of_int q), q); Gate.H q ])
+       [ 0; 3; 9; 12; 14 ])
+
+let test_sparse_sampler () =
+  (* without gate noise, a non-Clifford circuit whose state stays sparse
+     samples from a table over its support: the values of the dense
+     table at those indices (its sums only add exact zeros elsewhere),
+     and fixed-seed histograms equal to the dense sampler's *)
+  let params = { Noise.noiseless with Noise.readout = 0.05 } in
+  let sparse_cases = ref 0 in
+  List.iter
+    (fun (name, c) ->
+      let n = Circuit.num_qubits c in
+      match Sparse.run ~budget:(Sparse.budget n) c with
+      | None -> ()
+      | Some s ->
+          incr sparse_cases;
+          let sp = Sparse.sampler s in
+          let at (d : Statevector.sampler) x =
+            d.Statevector.cdf.(x lsr d.Statevector.sb).(x land d.Statevector.smask)
+          in
+          let unfused = Statevector.sampler (Statevector.run ~fuse:false c) in
+          Array.iteri
+            (fun k x ->
+              if sp.Sparse.cdf.(k) <> at unfused x then
+                Alcotest.failf "%s: table entry at %d differs from the dense one" name x)
+            sp.Sparse.keys;
+          let dense = Statevector.sampler (Statevector.run c) in
+          let shots = 256 and seed = 4 in
+          let expect = Noise.counts_make n in
+          for shot = 0 to shots - 1 do
+            let st = Noise.shot_state ~seed shot in
+            Noise.counts_add expect
+              (Noise.readout st params n (Statevector.sample_with dense st))
+              1
+          done;
+          Alcotest.(check bool) (name ^ ": histogram = dense sampler's") true
+            (Noise.counts_equal expect (Noise.run_shots ~seed ~jobs:1 params c ~shots)))
+    (("spread", spread)
+    :: List.filter
+         (fun (_, c) -> Circuit.num_qubits c <= 17 && not (Stabilizer.is_clifford_circuit c))
+         (Lazy.force corpus_circuits @ Lazy.force pool_circuits));
+  Alcotest.(check bool) "some circuits stay sparse" true (!sparse_cases >= 3)
+
 let test_readout_only_clifford () =
   (* gate noise off, readout on: Clifford circuits take the tableau path
      at any width, past the statevector cap too *)
@@ -724,5 +773,6 @@ let () =
           Alcotest.test_case "run_shots vs dense oracle" `Quick test_sparse_vs_oracle;
           Alcotest.test_case "backend equivalence gate" `Quick test_sparse_backend_equivalence;
           Alcotest.test_case "telemetry" `Quick test_sparse_telemetry;
+          Alcotest.test_case "readout-only sparse sampler" `Quick test_sparse_sampler;
           Alcotest.test_case "readout-only Clifford" `Quick test_readout_only_clifford;
           Alcotest.test_case "width cap" `Quick test_sparse_width_cap ] ) ]

@@ -11,14 +11,14 @@ let run_planned c =
   Statevector.Plan.execute (Statevector.Plan.build c) s;
   s
 
-let amp_close (a : Complex.t) (b : Complex.t) =
-  Float.abs (a.re -. b.re) < 1e-9 && Float.abs (a.im -. b.im) < 1e-9
+let amp_close ?(eps = 1e-9) (a : Complex.t) (b : Complex.t) =
+  Float.abs (a.re -. b.re) < eps && Float.abs (a.im -. b.im) < eps
 
-let same_amplitudes s1 s2 =
+let same_amplitudes ?eps s1 s2 =
   Statevector.size s1 = Statevector.size s2
   && (let ok = ref true in
       for x = 0 to Statevector.size s1 - 1 do
-        if not (amp_close (Statevector.amplitude s1 x) (Statevector.amplitude s2 x))
+        if not (amp_close ?eps (Statevector.amplitude s1 x) (Statevector.amplitude s2 x))
         then ok := false
       done;
       !ok)
@@ -122,6 +122,104 @@ let test_fixed_circuits () =
           Alcotest.(check bool) ("X run exactly |11>, " ^ layout) true
             (Statevector.prob (run_planned x_run) 0b11 = 1.)))
     [ None; Some 1 ]
+
+(* --- X frame: X gates pushed through diagonal runs --- *)
+
+(* H layers (a random subset of the qubits) around runs of diagonal
+   gates with X gates mixed in: an X mask before the run, single X's
+   inside it, and after it the same mask again (cancelling) or nothing
+   (a leftover mask). Some runs are too short to become sweeps. *)
+let frame_circuit st n =
+  let gates = ref [] in
+  let add g = gates := g :: !gates in
+  let h_layer () =
+    for q = 0 to n - 1 do
+      if Random.State.int st 4 > 0 then add (Gate.H q)
+    done
+  in
+  let distinct k =
+    let rec go acc =
+      if List.length acc = k then acc
+      else
+        let q = Random.State.int st n in
+        go (if List.mem q acc then acc else q :: acc)
+    in
+    go []
+  in
+  let diag () =
+    let q = Random.State.int st n in
+    match Random.State.int st 10 with
+    | 0 -> Gate.Z q
+    | 1 -> Gate.S q
+    | 2 -> Gate.Sdg q
+    | 3 -> Gate.T q
+    | 4 -> Gate.Tdg q
+    | 5 -> Gate.Rz (Random.State.float st 6.28 -. 3.14, q)
+    | 6 | 7 -> ( match distinct 2 with [ a; b ] -> Gate.Cz (a, b) | _ -> assert false)
+    | 8 -> ( match distinct 3 with [ a; b; c ] -> Gate.Ccz (a, b, c) | _ -> assert false)
+    | _ -> Gate.Mcz (distinct (2 + Random.State.int st 3))
+  in
+  let xs mask =
+    for q = 0 to n - 1 do
+      if mask land (1 lsl q) <> 0 then add (Gate.X q)
+    done
+  in
+  h_layer ();
+  for _ = 1 to 3 do
+    let mask = if Random.State.bool st then Random.State.int st (1 lsl n) else 0 in
+    xs mask;
+    for _ = 1 to 1 + Random.State.int st 8 do
+      if Random.State.int st 4 = 0 then add (Gate.X (Random.State.int st n));
+      add (diag ())
+    done;
+    if Random.State.bool st then xs mask;
+    h_layer ()
+  done;
+  Circuit.of_gates n (List.rev !gates)
+
+let prop_frame =
+  Helpers.prop "plan = unfused on X-framed diagonal runs" ~count:40
+    (seeded_circuit_gen (fun st -> frame_circuit st (10 + Random.State.int st 3)))
+    (fun c ->
+      let reference = Statevector.run ~fuse:false c in
+      List.for_all
+        (fun sb ->
+          with_shard sb (fun () -> same_amplitudes ~eps:1e-12 (run_planned c) reference))
+        [ None; Some 2; Some 3 ])
+
+(* The hidden shift's X^s·oracle·X^s collapses into a sweep folded into
+   the next Hadamard pass: the plan is Hadamard kernels only. *)
+let test_inner_product_plan () =
+  List.iter
+    (fun (pairs, s) ->
+      let c = Core.Hidden_shift.build (Core.Hidden_shift.Inner_product { n = pairs; s }) in
+      let st = Statevector.Plan.stats (Statevector.Plan.build c) in
+      let name = Printf.sprintf "%d qubits, shift %d: " (2 * pairs) s in
+      Alcotest.(check int) (name ^ "perm") 0 st.Statevector.Plan.perm;
+      Alcotest.(check int) (name ^ "diag") 0 st.Statevector.Plan.diag;
+      Alcotest.(check int) (name ^ "dense") 0 st.Statevector.Plan.dense;
+      Alcotest.(check int) (name ^ "Hadamard kernels only") st.Statevector.Plan.ops
+        st.Statevector.Plan.had;
+      Alcotest.(check int) (name ^ "both oracles folded") 2 st.Statevector.Plan.sweeps)
+    [ (6, 0); (6, 0b101100111010); (8, 0xb5e3); (8, 0xffff) ]
+
+(* The offset table against its definition: bit b of j sets bits.(b). *)
+let offs_reference (bits : int array) =
+  let k = Array.length bits in
+  Array.init (1 lsl k) (fun j ->
+      let o = ref 0 in
+      for b = 0 to k - 1 do
+        if j land (1 lsl b) <> 0 then o := !o lor (1 lsl bits.(b))
+      done;
+      !o)
+
+let prop_offs_of =
+  Helpers.prop "offs_of = bitwise definition" ~count:60
+    QCheck2.Gen.(
+      let* k = int_bound 16 in
+      let* picks = list_repeat k (int_bound 40) in
+      return (Array.of_list (List.sort_uniq compare picks)))
+    (fun bits -> Statevector.Plan.offs_of bits = offs_reference bits)
 
 (* --- classification: stats match the circuit's structure --- *)
 
@@ -307,6 +405,11 @@ let () =
             test_reduction_determinism;
           Alcotest.test_case "jobs-invariant telemetry totals" `Quick
             test_obs_totals_jobs_invariant ] );
+      ( "frame",
+        [ prop_frame;
+          Alcotest.test_case "inner product plans to Hadamards" `Quick
+            test_inner_product_plan;
+          prop_offs_of ] );
       ( "reuse",
         [ Alcotest.test_case "plan cache replay counter" `Quick
             test_plan_cache_replay;
