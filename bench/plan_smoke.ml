@@ -9,7 +9,11 @@
    1. all three runs print byte-identical stdout — neither the slab
       layout nor the worker count changes simulation results, not even
       in the last printed digit;
-   2. the planned run's trace records a nonzero sv.plan.blocks counter —
+   2. each run's stdout equals the pinned output in plan_smoke.expected,
+      so a kernel change that moves a printed digit on every leg alike
+      still fails (regenerate the file only for an intended change of
+      results);
+   3. the planned run's trace records a nonzero sv.plan.blocks counter —
       the plan layer actually formed fused blocks (the counter is only
       emitted when blocks > 0, so presence is the check). *)
 
@@ -70,10 +74,10 @@ let contains hay needle =
   nn = 0 || go 0
 
 let () =
-  let cli =
+  let cli, expected =
     match Array.to_list Sys.argv with
-    | [ _; cli ] -> cli
-    | _ -> die "usage: plan_smoke <qasm_tool.exe>"
+    | [ _; cli; expected ] -> (cli, read_file expected)
+    | _ -> die "usage: plan_smoke <qasm_tool.exe> <plan_smoke.expected>"
   in
   let dir = Filename.temp_file "dautoq_plan" "" in
   Sys.remove dir;
@@ -95,11 +99,16 @@ let () =
   if String.length j1 = 0 then die "planned run printed no probabilities";
   if j1 <> j4 then die "planned output differs between --jobs 1 and --jobs 4";
   if j1 <> sharded then die "one-slab and --shard-bits 3 outputs differ";
+  List.iter
+    (fun (leg, out) ->
+      if out <> expected then die "%s output differs from plan_smoke.expected" leg)
+    [ ("--jobs 1", j1); ("--jobs 4", j4); ("--shard-bits 3", sharded) ];
   let trace = read_file (tmp "planned.trace") in
   if not (contains trace "sv.plan.blocks") then
     die "trace records no sv.plan.blocks — the plan layer formed no blocks";
   Printf.printf
-    "plan smoke: OK (one slab = 8-amplitude slabs, jobs-invariant, blocks formed)\n";
+    "plan smoke: OK (one slab = 8-amplitude slabs = pinned output, jobs-invariant, \
+     blocks formed)\n";
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);

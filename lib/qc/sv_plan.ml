@@ -14,9 +14,15 @@
       (the state slabs ping-pong with a scratch set); narrower blocks
       gather/scatter disjoint 2^k-amplitude groups in place. Blocks that
       compose to the identity are dropped from the schedule;
-    - runs of H on distinct qubits fuse into one gather / k-butterfly /
-      scatter pass ({!max_kron_qubits} wide) — same arithmetic as the
-      individual passes, k× fewer memory sweeps;
+    - runs of H on distinct qubits fuse into one Hadamard block
+      ({!max_kron_qubits} wide) — same arithmetic as the individual
+      passes, k× fewer memory sweeps. Its rounds run radix-4: two
+      rounds per pass over quads whose four values stay in registers
+      in between, with no per-index test; contiguous bits run in place
+      in L1-sized blocks, other bit sets through a gathered group;
+      bits above the slab (or, on one slab, the top bits of a block
+      too wide to give every domain a group) stream in place across
+      whole rows, tile by tile;
     - only when supports genuinely overlap across kinds does a block
       fall back to a general dense unitary, capped at
       {!max_dense_qubits} (8×8, extracted by simulating basis columns —
@@ -53,10 +59,13 @@
     ({!Sv_shard}; a flat state is one slab): {e slab-local} kernels (all
     touched qubits below the slab bit, plus every diagonal) run through
     {!Sv_kernels.run_chunks} with zero cross-slab traffic; {e cross-slab}
-    kernels stream slabs in lockstep (high-bit butterflies), scatter
+    kernels stream slab rows in place (high-bit Hadamard rounds, over
+    256-column tiles that stay in cache across rounds), scatter
     through the global accessors (rare narrow high-bit blocks), or
     rebuild the state slab-sequentially through the inverse map
-    (full-width permutations). Groups and slabs are disjoint, so any
+    (full-width permutations). Groups, slabs and column chunks are
+    disjoint, and every amplitude goes through the same float
+    operations in the same order however a kernel is split, so any
     [--jobs] and any shard-bits value is bit-identical. *)
 
 open Sv_kernels
@@ -355,24 +364,32 @@ let mono_block n (bits : int array) rev_gates =
     c;
   (row, pr, pi)
 
-(* The phase a sweep applies at global index [x] — used to fold a
-   pending sweep into a full-width block's phase table at build time,
-   which removes the sweep's memory pass from the schedule entirely. *)
-let sweep_phase_at sw x =
-  let l = x land sw.half_mask and g = x lsr sw.h in
-  let ar = sw.lo_re.(l) and ai = sw.lo_im.(l) in
-  let br = sw.hi_re.(g) and bi = sw.hi_im.(g) in
-  let rr = ref ((ar *. br) -. (ai *. bi))
-  and ri = ref ((ar *. bi) +. (ai *. br)) in
-  Array.iter
-    (fun tm ->
-      if x land tm.mask = tm.want then begin
-        let r = !rr and i = !ri in
-        rr := (r *. tm.pre) -. (i *. tm.pim);
-        ri := (r *. tm.pim) +. (i *. tm.pre)
-      end)
-    sw.straddling;
-  (!rr, !ri)
+(* [sweep_mul_into sw gx vr vi dre dim d] stores (vr, vi) times the
+   sweep's phase at global index [gx] into [dre.(d)], [dim.(d)]. Every
+   sweep fold goes through it (the replay kernels' pre-sweeps and the
+   build-time fold into a full-width block's phase table), so the
+   arithmetic (and thus the floats) is identical on all of them.
+   Inlined, the phase stays in registers: no boxed floats, no stores
+   through a scratch cell. *)
+let[@inline] sweep_mul_into (sw : sweep) gx vr vi (dre : float array)
+    (dim : float array) d =
+  let l = gx land sw.half_mask and g = gx lsr sw.h in
+  let p0r = Array.unsafe_get sw.lo_re l and p0i = Array.unsafe_get sw.lo_im l in
+  let qr = Array.unsafe_get sw.hi_re g and qi = Array.unsafe_get sw.hi_im g in
+  let pr = ref ((p0r *. qr) -. (p0i *. qi))
+  and pi = ref ((p0r *. qi) +. (p0i *. qr)) in
+  let straddling = sw.straddling in
+  for t = 0 to Array.length straddling - 1 do
+    let tm = Array.unsafe_get straddling t in
+    if gx land tm.mask = tm.want then begin
+      let r = !pr and i = !pi in
+      pr := (r *. tm.pre) -. (i *. tm.pim);
+      pi := (r *. tm.pim) +. (i *. tm.pre)
+    end
+  done;
+  let pr = !pr and pi = !pi in
+  Array.unsafe_set dre d ((pr *. vr) -. (pi *. vi));
+  Array.unsafe_set dim d ((pr *. vi) +. (pi *. vr))
 
 let all_unit (pr : float array) (pi : float array) =
   let ok = ref true in
@@ -538,10 +555,7 @@ let build circuit =
               match take_sweep () with
               | Some sw ->
                   for b = 0 to dim - 1 do
-                    let sr, si = sweep_phase_at sw b in
-                    let r = pr.(b) and i = pi.(b) in
-                    pr.(b) <- (r *. sr) -. (i *. si);
-                    pi.(b) <- (r *. si) +. (i *. sr)
+                    sweep_mul_into sw b pr.(b) pi.(b) pr pi b
                   done
               | None -> ());
             let identity = ref true in
@@ -730,38 +744,15 @@ let gather_plain (re : float array) (im : float array) (offs : int array)
     Array.unsafe_set ai j (Array.unsafe_get im idx)
   done
 
-(* The sweep phase at global index [idx], written into acc — shared by
-   every pre-folding gather so the arithmetic (and thus the floats) is
-   identical on all of them. *)
-let sweep_phase_acc (sw : sweep) (acc : float array) idx =
-  let l = idx land sw.half_mask and g = idx lsr sw.h in
-  let pr0 = Array.unsafe_get sw.lo_re l and pi0 = Array.unsafe_get sw.lo_im l in
-  let qr = Array.unsafe_get sw.hi_re g and qi = Array.unsafe_get sw.hi_im g in
-  acc.(0) <- (pr0 *. qr) -. (pi0 *. qi);
-  acc.(1) <- (pr0 *. qi) +. (pi0 *. qr);
-  let straddling = sw.straddling in
-  for t = 0 to Array.length straddling - 1 do
-    let tm = Array.unsafe_get straddling t in
-    if idx land tm.mask = tm.want then begin
-      let r = acc.(0) and i = acc.(1) in
-      acc.(0) <- (r *. tm.pre) -. (i *. tm.pim);
-      acc.(1) <- (r *. tm.pim) +. (i *. tm.pre)
-    end
-  done
-
 (* Gather with a pre-sweep: values live at slab-local offsets
    ([lbase]), the sweep tables want the global index ([gbase]). *)
 let gather_pre (re : float array) (im : float array) (offs : int array)
     (ar : float array) (ai : float array) (sw : sweep) gbase lbase =
-  let acc = [| 1.; 0. |] in
   for j = 0 to Array.length offs - 1 do
     let off = Array.unsafe_get offs j in
-    sweep_phase_acc sw acc (gbase lor off);
-    let pr = acc.(0) and pi = acc.(1) in
     let idx = lbase lor off in
-    let vr = Array.unsafe_get re idx and vi = Array.unsafe_get im idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
+    sweep_mul_into sw (gbase lor off) (Array.unsafe_get re idx)
+      (Array.unsafe_get im idx) ar ai j
   done
 
 (* Global-accessor gathers for the rare cross-slab narrow blocks. *)
@@ -775,14 +766,9 @@ let gather_plain_g s (offs : int array) (ar : float array) (ai : float array)
 
 let gather_pre_g s (offs : int array) (ar : float array) (ai : float array)
     (sw : sweep) base =
-  let acc = [| 1.; 0. |] in
   for j = 0 to Array.length offs - 1 do
     let idx = base lor Array.unsafe_get offs j in
-    sweep_phase_acc sw acc idx;
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = get_re s idx and vi = get_im s idx in
-    Array.unsafe_set ar j ((pr *. vr) -. (pi *. vi));
-    Array.unsafe_set ai j ((pr *. vi) +. (pi *. vr))
+    sweep_mul_into sw idx (get_re s idx) (get_im s idx) ar ai j
   done
 
 (* The dense matvec on a gathered group — shared by the slab-local and
@@ -879,6 +865,20 @@ let seg_perm (re : float array) (im : float array) (bits : int array)
         done
   done
 
+(* The block row of a destination index by two table loads: for a
+   split [rh] of the index bits, [rlo.(v)] holds the block bits of the
+   low half [v] at their local positions and [rhi.(v)] those of
+   [v lsl rh]. When bits.(0) = 0 every run is one amplitude, and a k-bit
+   loop per run cost more than the copy it steers. *)
+let row_tables n (bits : int array) =
+  let rh = (n + 1) / 2 in
+  let row x =
+    let r = ref 0 in
+    Array.iteri (fun b q -> if x land (1 lsl q) <> 0 then r := !r lor (1 lsl b)) bits;
+    !r
+  in
+  (rh, Array.init (1 lsl rh) row, Array.init (1 lsl (n - rh)) (fun v -> row (v lsl rh)))
+
 (* Cross-slab narrow permutation, destination-major: out-of-place
    through the ping-pong scratch. Within an aligned run of 2^bits.(0)
    destinations every block bit is constant, so the block row — and
@@ -894,7 +894,7 @@ let seg_perm (re : float array) (im : float array) (bits : int array)
 let seg_perm_stream s (out_re : float array array)
     (out_im : float array array) (bits : int array) (offs : int array)
     (pinv : int array) (ph : (float array * float array) option)
-    (pre : sweep option) tlo thi =
+    (pre : sweep option) (rh, (rlo : int array), (rhi : int array)) tlo thi =
   let k = Array.length bits in
   let b0 = Array.unsafe_get bits 0 in
   let run = 1 lsl b0 in
@@ -902,17 +902,14 @@ let seg_perm_stream s (out_re : float array array)
   for b = 0 to k - 1 do
     bmask := !bmask lor (1 lsl Array.unsafe_get bits b)
   done;
-  let bmask = !bmask in
+  let bmask = !bmask and rmask = (1 lsl rh) - 1 in
   let sb = s.sb and smask = s.smask in
-  let acc = [| 1.; 0. |] in
   for t = tlo to thi - 1 do
     let d0 = t lsl b0 in
-    let r = ref 0 in
-    for b = 0 to k - 1 do
-      if d0 land (1 lsl Array.unsafe_get bits b) <> 0 then
-        r := !r lor (1 lsl b)
-    done;
-    let c = Array.unsafe_get pinv !r in
+    let r =
+      Array.unsafe_get rlo (d0 land rmask) lor Array.unsafe_get rhi (d0 lsr rh)
+    in
+    let c = Array.unsafe_get pinv r in
     let src0 = (d0 land lnot bmask) lor Array.unsafe_get offs c in
     let j = ref 0 in
     while !j < run do
@@ -937,27 +934,23 @@ let seg_perm_stream s (out_re : float array array)
             Array.unsafe_set dre (dof + e) ((pr *. vr) -. (pi *. vi));
             Array.unsafe_set dim_ (dof + e) ((pr *. vi) +. (pi *. vr))
           done
-      | Some sw, None ->
+      | Some sw, _ -> (
           for e = 0 to len - 1 do
-            sweep_phase_acc sw acc (x + e);
-            let spr = acc.(0) and spi = acc.(1) in
-            let vr = Array.unsafe_get sre (sof + e)
-            and vi = Array.unsafe_get sim (sof + e) in
-            Array.unsafe_set dre (dof + e) ((spr *. vr) -. (spi *. vi));
-            Array.unsafe_set dim_ (dof + e) ((spr *. vi) +. (spi *. vr))
-          done
-      | Some sw, Some (ph_re, ph_im) ->
-          let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
-          for e = 0 to len - 1 do
-            sweep_phase_acc sw acc (x + e);
-            let spr = acc.(0) and spi = acc.(1) in
-            let vr = Array.unsafe_get sre (sof + e)
-            and vi = Array.unsafe_get sim (sof + e) in
-            let gr = (spr *. vr) -. (spi *. vi)
-            and gi = (spr *. vi) +. (spi *. vr) in
-            Array.unsafe_set dre (dof + e) ((pr *. gr) -. (pi *. gi));
-            Array.unsafe_set dim_ (dof + e) ((pr *. gi) +. (pi *. gr))
-          done);
+            sweep_mul_into sw (x + e)
+              (Array.unsafe_get sre (sof + e))
+              (Array.unsafe_get sim (sof + e))
+              dre dim_ (dof + e)
+          done;
+          (* then the block phase, in place on the swept values *)
+          match ph with
+          | None -> ()
+          | Some (ph_re, ph_im) ->
+              let pr = Array.unsafe_get ph_re c and pi = Array.unsafe_get ph_im c in
+              for e = dof to dof + len - 1 do
+                let gr = Array.unsafe_get dre e and gi = Array.unsafe_get dim_ e in
+                Array.unsafe_set dre e ((pr *. gr) -. (pi *. gi));
+                Array.unsafe_set dim_ e ((pr *. gi) +. (pi *. gr))
+              done));
       j := !j + len
     done
   done
@@ -1010,10 +1003,83 @@ let seg_perm_full (re : float array) (im : float array) (out_re : float array)
         Array.unsafe_set out_im y ((pr *. vi) +. (pi *. vr))
       done
 
-(* Hadamards on the block's k distinct qubits: gather a group, run one
-   in-scratch butterfly round per qubit, scatter. Arithmetic per
-   amplitude matches the k separate passes it replaces — the win is
-   k memory passes collapsing into one. *)
+(* --- Hadamard rounds ---
+
+   A Hadamard on bit b maps each pair (x, x + 2^b) to
+   (sqrt2inv·(x + y), sqrt2inv·(x − y)). Real and imaginary parts
+   transform independently, so every routine below runs on one float
+   array at a time. Two rounds fuse into one pass over quads
+   (x0, x0 + st, x0 + 2st, x0 + 3st): round b's outputs stay in
+   registers for round b + 1. Per amplitude the operations, and their
+   order, are exactly those of separate ascending rounds, so every
+   schedule below is bit-identical to the one-round-at-a-time loop. *)
+
+(* One pair (x, x + st) / one quad (x0, x0 + st, x0 + 2st, x0 + 3st). *)
+let[@inline] had_pair (a : float array) x st =
+  let y = x + st in
+  let u = Array.unsafe_get a x and v = Array.unsafe_get a y in
+  Array.unsafe_set a x (sqrt2inv *. (u +. v));
+  Array.unsafe_set a y (sqrt2inv *. (u -. v))
+
+let[@inline] had_quad (a : float array) x0 st =
+  let x1 = x0 + st in
+  let x2 = x1 + st in
+  let x3 = x2 + st in
+  let s = sqrt2inv in
+  let v0 = Array.unsafe_get a x0 and v1 = Array.unsafe_get a x1 in
+  let v2 = Array.unsafe_get a x2 and v3 = Array.unsafe_get a x3 in
+  let u0 = s *. (v0 +. v1) and u1 = s *. (v0 -. v1) in
+  let u2 = s *. (v2 +. v3) and u3 = s *. (v2 -. v3) in
+  Array.unsafe_set a x0 (s *. (u0 +. u2));
+  Array.unsafe_set a x2 (s *. (u0 -. u2));
+  Array.unsafe_set a x1 (s *. (u1 +. u3));
+  Array.unsafe_set a x3 (s *. (u1 -. u3))
+
+(* Round b on [o, o + len): blocks of 2st, each a straight run of st
+   pairs — no test, no idle iteration. Bit 0 walks its pairs (quads
+   below) in one flat loop rather than an inner loop of length one. *)
+let had_round2 (a : float array) o len b =
+  let st = 1 lsl b in
+  if st = 1 then
+    for p = 0 to (len lsr 1) - 1 do
+      had_pair a (o + (p lsl 1)) 1
+    done
+  else
+    for g = 0 to (len lsr (b + 1)) - 1 do
+      let base = o + (g lsl (b + 1)) in
+      for x = base to base + st - 1 do
+        had_pair a x st
+      done
+    done
+
+(* Rounds b and b + 1 on [o, o + len): blocks of 4st, st quads each. *)
+let had_round4 (a : float array) o len b =
+  let st = 1 lsl b in
+  if st = 1 then
+    for q = 0 to (len lsr 2) - 1 do
+      had_quad a (o + (q lsl 2)) 1
+    done
+  else
+    for g = 0 to (len lsr (b + 2)) - 1 do
+      let base = o + (g lsl (b + 2)) in
+      for x0 = base to base + st - 1 do
+        had_quad a x0 st
+      done
+    done
+
+(* Rounds [b, k) ascending on [o, o + len), len a multiple of 2^k:
+   radix-4 passes, then one radix-2 round when k - b is odd. *)
+let had_rounds (a : float array) o len b k =
+  let b = ref b in
+  while !b + 1 < k do
+    had_round4 a o len !b;
+    b := !b + 2
+  done;
+  if !b < k then had_round2 a o len !b
+
+(* Hadamards on k scattered bits: gather a group, run the k rounds in
+   scratch, scatter. The win over k separate passes is k memory passes
+   collapsing into one. *)
 let seg_had (re : float array) (im : float array) (bits : int array)
     (offs : int array) (pre : sweep option) (ar : float array)
     (ai : float array) sbase lo hi =
@@ -1024,20 +1090,8 @@ let seg_had (re : float array) (im : float array) (bits : int array)
     (match pre with
     | None -> gather_plain re im offs ar ai lbase
     | Some sw -> gather_pre re im offs ar ai sw (sbase lor lbase) lbase);
-    for b = 0 to k - 1 do
-      let st = 1 lsl b in
-      for x = 0 to dim - 1 do
-        if x land st = 0 then begin
-          let y = x lor st in
-          let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-          let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-          Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-          Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-          Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-          Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-        end
-      done
-    done;
+    had_rounds ar 0 dim 0 k;
+    had_rounds ai 0 dim 0 k;
     for j = 0 to dim - 1 do
       let idx = lbase lor Array.unsafe_get offs j in
       Array.unsafe_set re idx (Array.unsafe_get ar j);
@@ -1045,62 +1099,136 @@ let seg_had (re : float array) (im : float array) (bits : int array)
     done
   done
 
-(* Unconditional sweep-multiply pass: a pre-sweep that could not fold
-   into a gather (the block's bits are all cross-slab) applies to every
-   amplitude with the exact {!gather_pre} arithmetic — unconditional
-   multiply, no skip-when-unit, so the floats match the folded form. *)
+(* Unconditional sweep-multiply pass: a pre-sweep with no gather to fold
+   into (an in-place block, or a block whose bits are all cross-slab)
+   applies to every amplitude with the exact {!gather_pre} arithmetic —
+   unconditional multiply, no skip-when-unit, so the floats match the
+   folded form. *)
 let seg_sweep_mul (re : float array) (im : float array) (sw : sweep) sbase lo
     hi =
-  let acc = [| 1.; 0. |] in
   for x = lo to hi - 1 do
-    sweep_phase_acc sw acc (sbase lor x);
-    let pr = acc.(0) and pi = acc.(1) in
-    let vr = re.(x) and vi = im.(x) in
-    re.(x) <- (pr *. vr) -. (pi *. vi);
-    im.(x) <- (pr *. vi) +. (pi *. vr)
+    sweep_mul_into sw (sbase lor x) (Array.unsafe_get re x)
+      (Array.unsafe_get im x) re im x
   done
 
-(* Cross-slab butterfly: the high block bits address whole slabs, so the
-   pair partners sit at the *same* local offset of 2^kh slabs — stream
-   those slabs in lockstep, one column of scratch registers per local
-   index. Rounds run in ascending bit order after the slab-local rounds,
-   exactly the order {!seg_had} uses, so every amplitude sees the
-   identical operation sequence. Chunks split the local index range:
-   each chunk owns columns [lo, hi) of every slab — disjoint writes. *)
-let seg_had_high (sl_re : float array array) (sl_im : float array array)
-    (hoffs : int array) hmask kh nslabs lo hi =
+(* Blocks of 2^12 amplitudes (32 kB per float array) stay in L1. *)
+let l1_bits = 12
+
+(* Hadamards on contiguous bits b0..b0+k-1, in place on [start, stop)
+   of one slab (a multiple of the span 2^(b0+k) that holds whole
+   groups): no gather, no scatter. Each L1 block takes its pre-sweep
+   and every round below bit [l1_bits]; the higher rounds then pass
+   over the unit (a span, or L1 block's worth of small spans). *)
+let seg_had_span (re : float array) (im : float array) b0 k (pre : sweep option)
+    sbase start stop =
+  let kl = max 0 (min k (l1_bits - b0)) in
+  let unit = 1 lsl max (b0 + k) l1_bits in
+  let o = ref start in
+  while !o < stop do
+    let len = min unit (stop - !o) in
+    let blk = min len (1 lsl l1_bits) in
+    let u = ref !o in
+    while !u < !o + len do
+      (match pre with
+      | None -> ()
+      | Some sw -> seg_sweep_mul re im sw sbase !u (!u + blk));
+      had_rounds re !u blk b0 (b0 + kl);
+      had_rounds im !u blk b0 (b0 + kl);
+      u := !u + blk
+    done;
+    had_rounds re !o len (b0 + kl) (b0 + k);
+    had_rounds im !o len (b0 + kl) (b0 + k);
+    o := !o + len
+  done
+
+(* Streaming rounds. A row is 2^p consecutive amplitudes; when every
+   remaining block bit sits at or above p, a pair's partners share a
+   column of two rows, so a round is a straight elementwise pass over
+   whole row pairs (row quads for two fused rounds), in place, with no
+   gather. [row_round2]/[row_round4] run one round / two rounds on
+   columns [c0, c1) of rows [rj] at slab offsets [oj]. *)
+let row_round2 (r0 : float array) o0 (r1 : float array) o1 c0 c1 =
+  let s = sqrt2inv in
+  for c = c0 to c1 - 1 do
+    let u = Array.unsafe_get r0 (o0 + c) and v = Array.unsafe_get r1 (o1 + c) in
+    Array.unsafe_set r0 (o0 + c) (s *. (u +. v));
+    Array.unsafe_set r1 (o1 + c) (s *. (u -. v))
+  done
+
+let row_round4 (r0 : float array) o0 (r1 : float array) o1 (r2 : float array)
+    o2 (r3 : float array) o3 c0 c1 =
+  let s = sqrt2inv in
+  for c = c0 to c1 - 1 do
+    let v0 = Array.unsafe_get r0 (o0 + c) and v1 = Array.unsafe_get r1 (o1 + c) in
+    let v2 = Array.unsafe_get r2 (o2 + c) and v3 = Array.unsafe_get r3 (o3 + c) in
+    let u0 = s *. (v0 +. v1) and u1 = s *. (v0 -. v1) in
+    let u2 = s *. (v2 +. v3) and u3 = s *. (v2 -. v3) in
+    Array.unsafe_set r0 (o0 + c) (s *. (u0 +. u2));
+    Array.unsafe_set r2 (o2 + c) (s *. (u0 -. u2));
+    Array.unsafe_set r1 (o1 + c) (s *. (u1 +. u3));
+    Array.unsafe_set r3 (o3 + c) (s *. (u1 -. u3))
+  done
+
+(* All kh rounds on columns [c0, c1) of one group's 2^kh rows, indexed
+   like a scratch group (row j holds local index j): the same quads,
+   the same ascending order as {!had_rounds}. *)
+let had_rows (rows : float array array) (roff : int array) kh c0 c1 =
+  let b = ref 0 in
+  while !b + 1 < kh do
+    let b_ = !b in
+    let st = 1 lsl b_ in
+    let low = st - 1 in
+    for q = 0 to (1 lsl (kh - 2)) - 1 do
+      let j0 = ((q lsr b_) lsl (b_ + 2)) lor (q land low) in
+      let j1 = j0 + st in
+      let j2 = j1 + st in
+      let j3 = j2 + st in
+      row_round4 rows.(j0) roff.(j0) rows.(j1) roff.(j1) rows.(j2) roff.(j2)
+        rows.(j3) roff.(j3) c0 c1
+    done;
+    b := b_ + 2
+  done;
+  if !b < kh then begin
+    let b_ = !b in
+    let st = 1 lsl b_ in
+    let low = st - 1 in
+    for p = 0 to (1 lsl (kh - 1)) - 1 do
+      let j0 = ((p lsr b_) lsl (b_ + 1)) lor (p land low) in
+      let j1 = j0 + st in
+      row_round2 rows.(j0) roff.(j0) rows.(j1) roff.(j1) c0 c1
+    done
+  end
+
+(* Columns per tile: a tile of every row of a group stays in cache from
+   its first round to its last (2^kh rows × 2 kB, e.g. 128 kB per float
+   array for the 6 cross-slab bits of a 22-qubit state). *)
+let had_tile = 256
+
+(* The streaming rounds of a Hadamard block on rows of 2^p amplitudes
+   (p ≤ the slab bit, so a row never straddles slabs): [hoffs] lists a
+   group's rows by local index, [hmask] marks the block's row bits, and
+   groups are the rows with those bits clear. Chunks split the columns
+   [lo, hi): disjoint writes, and every amplitude still sees its rounds
+   in ascending bit order, after the slab-local ones, so any chunking
+   and any tile size is bit-identical. *)
+let seg_had_high s (hoffs : int array) hmask p kh lo hi =
   let dim = Array.length hoffs in
-  let ar = Array.make dim 0. and ai = Array.make dim 0. in
-  let rr = Array.make dim [||] and ri = Array.make dim [||] in
-  for g = 0 to nslabs - 1 do
+  let rre = Array.make dim [||] and rim = Array.make dim [||] in
+  let roff = Array.make dim 0 in
+  for g = 0 to (size s lsr p) - 1 do
     if g land hmask = 0 then begin
       for j = 0 to dim - 1 do
-        rr.(j) <- sl_re.(g lor Array.unsafe_get hoffs j);
-        ri.(j) <- sl_im.(g lor Array.unsafe_get hoffs j)
+        let x = (g lor hoffs.(j)) lsl p in
+        rre.(j) <- s.sl_re.(x lsr s.sb);
+        rim.(j) <- s.sl_im.(x lsr s.sb);
+        roff.(j) <- x land s.smask
       done;
-      for i = lo to hi - 1 do
-        for j = 0 to dim - 1 do
-          Array.unsafe_set ar j (Array.unsafe_get (Array.unsafe_get rr j) i);
-          Array.unsafe_set ai j (Array.unsafe_get (Array.unsafe_get ri j) i)
-        done;
-        for b = 0 to kh - 1 do
-          let st = 1 lsl b in
-          for x = 0 to dim - 1 do
-            if x land st = 0 then begin
-              let y = x lor st in
-              let xr = Array.unsafe_get ar x and xi = Array.unsafe_get ai x in
-              let yr = Array.unsafe_get ar y and yi = Array.unsafe_get ai y in
-              Array.unsafe_set ar x (sqrt2inv *. (xr +. yr));
-              Array.unsafe_set ai x (sqrt2inv *. (xi +. yi));
-              Array.unsafe_set ar y (sqrt2inv *. (xr -. yr));
-              Array.unsafe_set ai y (sqrt2inv *. (xi -. yi))
-            end
-          done
-        done;
-        for j = 0 to dim - 1 do
-          Array.unsafe_set (Array.unsafe_get rr j) i (Array.unsafe_get ar j);
-          Array.unsafe_set (Array.unsafe_get ri j) i (Array.unsafe_get ai j)
-        done
+      let c0 = ref lo in
+      while !c0 < hi do
+        let c1 = min hi (!c0 + had_tile) in
+        had_rows rre roff kh !c0 c1;
+        had_rows rim roff kh !c0 c1;
+        c0 := c1
       done
     end
   done
@@ -1179,7 +1307,8 @@ let exec_kernel s scratch = function
         Array.iteri (fun c r -> Array.unsafe_set pinv r c) perm;
         let ((out_re, out_im) as out) = acquire_scratch s scratch in
         run_range s (size s lsr bits.(0))
-          (seg_perm_stream s out_re out_im bits offs pinv ph pre);
+          (seg_perm_stream s out_re out_im bits offs pinv ph pre
+             (row_tables (num_qubits s) bits));
         swap_in s scratch out
       end
   | K_perm_full { inv; ph } ->
@@ -1196,23 +1325,40 @@ let exec_kernel s scratch = function
       swap_in s scratch out
   | K_had { pre; bits; offs } ->
       let k = Array.length bits in
-      (* slab-local butterfly rounds (all of them when every bit is below
-         the slab bit), with the pre-sweep folded into their gather *)
+      (* slab-local rounds: the bits below the slab bit, except that on
+         one slab a block too wide to leave every domain a group (the
+         H layer of a whole state) hands its top bits to the streaming
+         rounds, whose column chunks split over the pool *)
+      let lim =
+        if slab_count s = 1 && size s > par_threshold then
+          s.sb - ceil_log2 (Par.size (Par.global ()))
+        else s.sb
+      in
       let nlow = ref 0 in
-      while !nlow < k && bits.(!nlow) < s.sb do
+      while !nlow < k && bits.(!nlow) < lim do
         incr nlow
       done;
       let nlow = !nlow in
       (if nlow > 0 then begin
-         let lbits = if nlow = k then bits else Array.sub bits 0 nlow in
-         let loffs = if nlow = k then offs else offs_of lbits in
-         let ldim = Array.length loffs in
-         run_chunks s ~units:(slab_size s lsr nlow) (fun slo shi lo hi ->
-             let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
-             for sl = slo to shi - 1 do
-               seg_had s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai
-                 (sl lsl s.sb) lo hi
-             done)
+         let top = bits.(nlow - 1) + 1 in
+         if top - bits.(0) = nlow then
+           (* contiguous: in place, units of one span *)
+           run_chunks s ~units:(slab_size s lsr top) (fun slo shi lo hi ->
+               for sl = slo to shi - 1 do
+                 seg_had_span s.sl_re.(sl) s.sl_im.(sl) bits.(0) nlow pre
+                   (sl lsl s.sb) (lo lsl top) (hi lsl top)
+               done)
+         else begin
+           let lbits = if nlow = k then bits else Array.sub bits 0 nlow in
+           let loffs = if nlow = k then offs else offs_of lbits in
+           let ldim = Array.length loffs in
+           run_chunks s ~units:(slab_size s lsr nlow) (fun slo shi lo hi ->
+               let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
+               for sl = slo to shi - 1 do
+                 seg_had s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai
+                   (sl lsl s.sb) lo hi
+               done)
+         end
        end
        else
          match pre with
@@ -1221,20 +1367,13 @@ let exec_kernel s scratch = function
                  seg_sweep_mul s.sl_re.(sl) s.sl_im.(sl) sw (sl lsl s.sb) lo hi)
          | None -> ());
       if nlow < k then begin
-        (* cross-slab rounds stream slab tuples in lockstep — same
-           ascending-bit round order and identical per-amplitude
-           arithmetic as the one-pass kernel *)
-        let kh = k - nlow in
-        let hoffs = offs_of (Array.init kh (fun i -> bits.(nlow + i) - s.sb)) in
-        let hmask =
-          let m = ref 0 in
-          for i = nlow to k - 1 do
-            m := !m lor (1 lsl (bits.(i) - s.sb))
-          done;
-          !m
-        in
-        run_range s (slab_size s)
-          (seg_had_high s.sl_re s.sl_im hoffs hmask kh (slab_count s))
+        (* the rest streams over rows of 2^p amplitudes, in ascending
+           bit order after the slab-local rounds *)
+        let p = min bits.(nlow) s.sb in
+        let hbits = Array.init (k - nlow) (fun i -> bits.(nlow + i) - p) in
+        let hmask = Array.fold_left (fun m b -> m lor (1 lsl b)) 0 hbits in
+        run_range s (1 lsl p)
+          (seg_had_high s (offs_of hbits) hmask p (k - nlow))
       end
   | K_dense { pre; bits; offs; u_re; u_im } ->
       let k = Array.length bits in

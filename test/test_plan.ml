@@ -221,6 +221,150 @@ let prop_offs_of =
       return (Array.of_list (List.sort_uniq compare picks)))
     (fun bits -> Statevector.Plan.offs_of bits = offs_reference bits)
 
+(* --- Hadamard replay = the one-round-at-a-time loop, bit for bit --- *)
+
+(* The radix-2 loop the Hadamard kernels used to run, kept as the
+   reference: gather each group (times the pre-sweep's phase, built the
+   same way the kernels build it), one round per bit in ascending order
+   testing every index, scatter. Runs on flat global-index arrays. *)
+let reference_had n (re : float array) (im : float array) bits pre =
+  let module Sv = Statevector in
+  let k = Array.length bits in
+  let dim = 1 lsl k in
+  let offs = Sv.Plan.offs_of bits in
+  let ar = Array.make dim 0. and ai = Array.make dim 0. in
+  for i = 0 to (1 lsl (n - k)) - 1 do
+    let base = Sv.Plan.expand bits i in
+    for j = 0 to dim - 1 do
+      let idx = base lor offs.(j) in
+      match pre with
+      | None ->
+          ar.(j) <- re.(idx);
+          ai.(j) <- im.(idx)
+      | Some (sw : Sv.sweep) ->
+          let l = idx land sw.half_mask and g = idx lsr sw.h in
+          let pr0 = sw.lo_re.(l) and pi0 = sw.lo_im.(l) in
+          let qr = sw.hi_re.(g) and qi = sw.hi_im.(g) in
+          let pr = ref ((pr0 *. qr) -. (pi0 *. qi))
+          and pi = ref ((pr0 *. qi) +. (pi0 *. qr)) in
+          Array.iter
+            (fun (tm : Sv.dterm) ->
+              if idx land tm.mask = tm.want then begin
+                let r = !pr and i = !pi in
+                pr := (r *. tm.pre) -. (i *. tm.pim);
+                pi := (r *. tm.pim) +. (i *. tm.pre)
+              end)
+            sw.straddling;
+          let vr = re.(idx) and vi = im.(idx) in
+          ar.(j) <- (!pr *. vr) -. (!pi *. vi);
+          ai.(j) <- (!pr *. vi) +. (!pi *. vr)
+    done;
+    for b = 0 to k - 1 do
+      let st = 1 lsl b in
+      for x = 0 to dim - 1 do
+        if x land st = 0 then begin
+          let y = x lor st in
+          let xr = ar.(x) and xi = ai.(x) in
+          let yr = ar.(y) and yi = ai.(y) in
+          ar.(x) <- Sv.sqrt2inv *. (xr +. yr);
+          ai.(x) <- Sv.sqrt2inv *. (xi +. yi);
+          ar.(y) <- Sv.sqrt2inv *. (xr -. yr);
+          ai.(y) <- Sv.sqrt2inv *. (xi -. yi)
+        end
+      done
+    done;
+    for j = 0 to dim - 1 do
+      let idx = base lor offs.(j) in
+      re.(idx) <- ar.(j);
+      im.(idx) <- ai.(j)
+    done
+  done
+
+(* A random sweep on n qubits: terms on 1-3 random qubits, plus one
+   across the table halves' midline, so the per-index straddling path
+   always runs too. *)
+let random_sweep st n =
+  let term mask =
+    let a = Random.State.float st 6.28 in
+    Statevector.dterm mask (Random.State.int st (1 lsl n) land mask)
+      { Complex.re = cos a; im = sin a }
+  in
+  let random_mask () =
+    let mask = ref 0 in
+    for _ = 1 to 1 + Random.State.int st 3 do
+      mask := !mask lor (1 lsl Random.State.int st n)
+    done;
+    !mask
+  in
+  let midline = (1 lsl 0) lor (1 lsl (n - 1)) in
+  Statevector.sweep_of_terms n
+    (Array.init (3 + Random.State.int st 6) (fun i ->
+         term (if i = 0 then midline else random_mask ())))
+
+(* [had_replay_matches n bits pre layouts st] loads one random state,
+   replays a lone K_had on it under each layout, and compares every
+   amplitude's bits with the reference. *)
+let had_replay_matches st n bits pre layouts =
+  let dim = 1 lsl n in
+  let re = Array.init dim (fun _ -> Random.State.float st 2. -. 1.) in
+  let im = Array.init dim (fun _ -> Random.State.float st 2. -. 1.) in
+  let plan =
+    { Statevector.Plan.n; blocks = 1; fused_gates = 0; source_gates = 0;
+      ops = [| Statevector.Plan.K_had { pre; bits; offs = Statevector.Plan.offs_of bits } |] }
+  in
+  let replay () =
+    let s = Statevector.init n in
+    Array.iteri (fun x v -> Statevector.set_re s x v) re;
+    Array.iteri (fun x v -> Statevector.set_im s x v) im;
+    Statevector.Plan.execute plan s;
+    s
+  in
+  let outs = List.map (fun layout -> layout (fun () -> replay ())) layouts in
+  let rre = Array.copy re and rim = Array.copy im in
+  reference_had n rre rim bits pre;
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  List.for_all
+    (fun s ->
+      let ok = ref true in
+      for x = 0 to dim - 1 do
+        if not (same (Statevector.get_re s x) rre.(x) && same (Statevector.get_im s x) rim.(x))
+        then ok := false
+      done;
+      !ok)
+    outs
+
+(* k = 1..8 bits out of 8-12 qubits: contiguous runs (the in-place
+   path) and scattered sets (the gather path), with and without a
+   pre-sweep; on one slab, on 4- and 8-amplitude slabs (the upper bits
+   stream across slabs) and on 1024-amplitude slabs (four 256-column
+   tiles inside one chunk). *)
+let prop_had_reference =
+  Helpers.prop "K_had replay = radix-2 reference, bit for bit" ~count:60
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Helpers.rng seed in
+      let n = 8 + Random.State.int st 5 in
+      let k = 1 + Random.State.int st 8 in
+      let bits =
+        if Random.State.bool st then
+          let b0 = Random.State.int st (n - k + 1) in
+          Array.init k (fun i -> b0 + i)
+        else begin
+          let chosen = Array.make n false and c = ref 0 in
+          while !c < k do
+            let q = Random.State.int st n in
+            if not chosen.(q) then begin
+              chosen.(q) <- true;
+              incr c
+            end
+          done;
+          Array.of_list (List.filter (fun q -> chosen.(q)) (List.init n Fun.id))
+        end
+      in
+      let pre = if Random.State.bool st then Some (random_sweep st n) else None in
+      had_replay_matches st n bits pre
+        (List.map (fun sb f -> with_shard sb f) [ None; Some 2; Some 3; Some 10 ]))
+
 (* --- classification: stats match the circuit's structure --- *)
 
 let test_stats_diag () =
@@ -307,6 +451,25 @@ let test_jobs_invariance () =
     if not (a.re = b.re && a.im = b.im) then identical := false
   done;
   Alcotest.(check bool) "amplitudes bit-identical across --jobs" true !identical
+
+(* Whole-state H layers: on one slab above par_threshold the top bits
+   stream in column chunks so every domain gets work; amplitudes stay
+   bit-identical to the reference at every pool width. *)
+let test_had_layer_jobs () =
+  List.iter
+    (fun n ->
+      let st = Helpers.rng n in
+      let bits = Array.init n Fun.id in
+      List.iter
+        (fun pre ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d-qubit H layer%s, jobs 1/2/4" n
+               (if pre = None then "" else " with a pre-sweep"))
+            true
+            (had_replay_matches st n bits pre
+               (List.map (fun j f -> with_jobs j f) [ 1; 2; 4 ])))
+        [ None; Some (random_sweep st n) ])
+    [ 14; 16 ]
 
 let test_reduction_determinism () =
   let c = Lazy.force wide_circuit in
@@ -401,6 +564,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "jobs-invariant amplitudes" `Quick
             test_jobs_invariance;
+          Alcotest.test_case "H layers bit-identical across --jobs" `Quick
+            test_had_layer_jobs;
           Alcotest.test_case "jobs-invariant reductions" `Quick
             test_reduction_determinism;
           Alcotest.test_case "jobs-invariant telemetry totals" `Quick
@@ -410,6 +575,7 @@ let () =
           Alcotest.test_case "inner product plans to Hadamards" `Quick
             test_inner_product_plan;
           prop_offs_of ] );
+      ("hadamard", [ prop_had_reference ]);
       ( "reuse",
         [ Alcotest.test_case "plan cache replay counter" `Quick
             test_plan_cache_replay;
