@@ -1325,25 +1325,34 @@ let exec_kernel s scratch = function
       swap_in s scratch out
   | K_had { pre; bits; offs } ->
       let k = Array.length bits in
-      (* slab-local rounds: the bits below the slab bit, except that on
-         one slab a block too wide to leave every domain a group (the
-         H layer of a whole state) hands its top bits to the streaming
-         rounds, whose column chunks split over the pool *)
-      let lim =
-        if slab_count s = 1 && size s > par_threshold then
-          s.sb - ceil_log2 (Par.size (Par.global ()))
-        else s.sb
+      let below lim =
+        let c = ref 0 in
+        while !c < k && bits.(!c) < lim do
+          incr c
+        done;
+        !c
       in
-      let nlow = ref 0 in
-      while !nlow < k && bits.(!nlow) < lim do
-        incr nlow
-      done;
-      let nlow = !nlow in
+      (* groups the slab-local pass over the first [nl] bits hands out *)
+      let units nl =
+        let top = bits.(nl - 1) + 1 in
+        if top - bits.(0) = nl then slab_size s lsr top else slab_size s lsr nl
+      in
+      (* slab-local rounds: the bits below the slab bit, except that on
+         one slab a block that leaves fewer groups than the pool has
+         domains (the H layer of a whole state) hands its top bits to
+         the streaming rounds, whose column chunks split over the pool *)
+      let nlow =
+        let nl = below s.sb in
+        let pool = Par.size (Par.global ()) in
+        if slab_count s = 1 && size s > par_threshold && nl > 0 && units nl < pool
+        then below (s.sb - ceil_log2 pool)
+        else nl
+      in
       (if nlow > 0 then begin
          let top = bits.(nlow - 1) + 1 in
          if top - bits.(0) = nlow then
            (* contiguous: in place, units of one span *)
-           run_chunks s ~units:(slab_size s lsr top) (fun slo shi lo hi ->
+           run_chunks s ~units:(units nlow) (fun slo shi lo hi ->
                for sl = slo to shi - 1 do
                  seg_had_span s.sl_re.(sl) s.sl_im.(sl) bits.(0) nlow pre
                    (sl lsl s.sb) (lo lsl top) (hi lsl top)
@@ -1352,7 +1361,7 @@ let exec_kernel s scratch = function
            let lbits = if nlow = k then bits else Array.sub bits 0 nlow in
            let loffs = if nlow = k then offs else offs_of lbits in
            let ldim = Array.length loffs in
-           run_chunks s ~units:(slab_size s lsr nlow) (fun slo shi lo hi ->
+           run_chunks s ~units:(units nlow) (fun slo shi lo hi ->
                let ar = Array.make ldim 0. and ai = Array.make ldim 0. in
                for sl = slo to shi - 1 do
                  seg_had s.sl_re.(sl) s.sl_im.(sl) lbits loffs pre ar ai

@@ -337,12 +337,25 @@ let had_replay_matches st n bits pre layouts =
    path) and scattered sets (the gather path), with and without a
    pre-sweep; on one slab, on 4- and 8-amplitude slabs (the upper bits
    stream across slabs) and on 1024-amplitude slabs (four 256-column
-   tiles inside one chunk). *)
+   tiles inside one chunk). A third of the draws are contiguous runs
+   from bit 8-12 on 13-14 qubits, on one slab and on 8-amplitude slabs:
+   there the in-place path's rounds at bit 12 and above run, after the
+   L1 blocks' lower rounds when the run starts below bit 12. *)
 let prop_had_reference =
   Helpers.prop "K_had replay = radix-2 reference, bit for bit" ~count:60
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let st = Helpers.rng seed in
+      if Random.State.int st 3 = 0 then begin
+        let n = 13 + Random.State.int st 2 in
+        let b0 = 8 + Random.State.int st 5 in
+        let k = 1 + Random.State.int st (min 8 (n - b0)) in
+        let bits = Array.init k (fun i -> b0 + i) in
+        let pre = if Random.State.bool st then Some (random_sweep st n) else None in
+        had_replay_matches st n bits pre
+          (List.map (fun sb f -> with_shard sb f) [ None; Some 3 ])
+      end
+      else
       let n = 8 + Random.State.int st 5 in
       let k = 1 + Random.State.int st 8 in
       let bits =
@@ -454,22 +467,31 @@ let test_jobs_invariance () =
 
 (* Whole-state H layers: on one slab above par_threshold the top bits
    stream in column chunks so every domain gets work; amplitudes stay
-   bit-identical to the reference at every pool width. *)
+   bit-identical to the reference at every pool width. So do a
+   contiguous block that ends at the top bit (split like a layer) and a
+   scattered one that holds it (enough groups, not split). *)
 let test_had_layer_jobs () =
   List.iter
-    (fun n ->
+    (fun (n, bits) ->
       let st = Helpers.rng n in
-      let bits = Array.init n Fun.id in
+      let name =
+        if Array.length bits = n then Printf.sprintf "%d-qubit H layer" n
+        else
+          Printf.sprintf "H on {%s} of %d qubits"
+            (String.concat "," (Array.to_list (Array.map string_of_int bits)))
+            n
+      in
       List.iter
         (fun pre ->
           Alcotest.(check bool)
-            (Printf.sprintf "%d-qubit H layer%s, jobs 1/2/4" n
+            (Printf.sprintf "%s%s, jobs 1/2/4" name
                (if pre = None then "" else " with a pre-sweep"))
             true
             (had_replay_matches st n bits pre
                (List.map (fun j f -> with_jobs j f) [ 1; 2; 4 ])))
         [ None; Some (random_sweep st n) ])
-    [ 14; 16 ]
+    [ (14, Array.init 14 Fun.id); (16, Array.init 16 Fun.id);
+      (16, Array.init 12 (fun i -> 4 + i)); (16, [| 0; 3; 15 |]) ]
 
 let test_reduction_determinism () =
   let c = Lazy.force wide_circuit in
