@@ -1,30 +1,11 @@
 (* Regenerate every paper artifact (E1-E16; see DESIGN.md).
    Usage: experiments [e1|e2|...|e16|all] *)
 
-let table = [
-  ("e1", fun () -> Core.Experiments.e1 ());
-  ("e2", fun () -> Core.Experiments.e2 ());
-  ("e3", fun () -> Core.Experiments.e3 ());
-  ("e4", fun () -> Core.Experiments.e4 ());
-  ("e5", fun () -> Core.Experiments.e5 ());
-  ("e6", fun () -> Core.Experiments.e6 ());
-  ("e7", fun () -> Core.Experiments.e7 ());
-  ("e8", fun () -> Core.Experiments.e8 ());
-  ("e9", fun () -> Core.Experiments.e9 ());
-  ("e10", fun () -> Core.Experiments.e10 ());
-  ("e11", fun () -> Core.Experiments.e11 ());
-  ("e12", fun () -> Core.Experiments.e12 ());
-  ("e13", fun () -> Core.Experiments.e13 ());
-  ("e14", fun () -> Core.Experiments.e14 ());
-  ("e15", fun () -> Core.Experiments.e15 ());
-  ("e16", fun () -> Core.Experiments.e16 ());
-]
-
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "all" ] -> print_string (Core.Experiments.all ())
   | [ _; name ] -> (
-      match List.assoc_opt (String.lowercase_ascii name) table with
+      match List.assoc_opt (String.lowercase_ascii name) Core.Experiments.table with
       | Some f -> print_string (f ())
       | None ->
           Printf.eprintf "unknown experiment %s (e1..e16 or all)\n" name;

@@ -14,9 +14,10 @@
     {!Obs.Summary.stats_of_samples}.
 
     Snapshots persist as a versioned JSON section (standalone file or a
-    ["corpus"] member of a BENCH_pr*.json report); {!Diff} compares two
-    snapshots metric-by-metric under configurable thresholds, which is
-    what [tools/bench_diff --corpus --fail-on-regression] gates CI on.
+    ["corpus"] member of a historical BENCH_pr*.json report); {!Diff}
+    compares two snapshots metric-by-metric under configurable
+    thresholds, which is what [qasm_tool corpus diff
+    --fail-on-regression] gates on.
 
     Every generator emits through {!Qc.Qasm.to_string} and re-imports
     with {!Qc.Qasm.parse}; the round-trip is property-tested to be
@@ -755,7 +756,7 @@ module Diff = struct
     Buffer.contents buf
 
   (** [to_json r] is the machine-readable diff (the [--json] output of
-      [bench_diff]). *)
+      [qasm_tool corpus diff]). *)
   let to_json r =
     Json.Obj
       [ ("mode", Json.String "corpus");
@@ -795,7 +796,7 @@ end
    [m=thr,…]] — registered into Core.Shell's extension table so the
    revkit shell (and its scripts) drive the corpus without core
    depending on this library. The shell is report-only: the failing
-   exit code lives in tools/bench_diff. *)
+   exit code lives in [qasm_tool corpus diff --fail-on-regression]. *)
 let shell_command st args =
   let module Shell = Core.Shell in
   let say fmt =

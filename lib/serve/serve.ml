@@ -768,9 +768,10 @@ let summary_lines s =
       s.tenant_rows
   @ [ Printf.sprintf "delivered %d  results digest %s" delivered (results_digest s) ]
 
-(** [summary_metrics s] — the flat numeric rollup the bench JSON and
-    bench_diff consume. The [*_us] rows are virtual-clock percentiles
-    (deterministic); [wall_ms] and [jobs_per_sec] are real time. *)
+(** [summary_metrics s] — the flat numeric rollup; [qasm_tool serve
+    load] prints its wall-clock rows. The [*_us] rows are virtual-clock
+    percentiles (deterministic); [wall_ms] and [jobs_per_sec] are real
+    time. *)
 let summary_metrics s =
   let qw = stats_opt (queue_wait_samples s) in
   let lat = stats_opt (latency_samples s) in

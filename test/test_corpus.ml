@@ -1,6 +1,6 @@
 (* The workload corpus: entry grammar, the QASM interchange contract
    (every family emits OpenQASM that re-imports equivalent), snapshot
-   persistence, and the regression-diff semantics bench_diff gates on. *)
+   persistence, and the regression-diff semantics `corpus diff` gates on. *)
 
 let no_timings = { Corpus.default_config with Corpus.timings = false }
 
