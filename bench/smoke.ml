@@ -112,6 +112,23 @@ let null_flow_overhead _ =
   Printf.sprintf "hwb4 null %.2fms, recording %.2fms" (null_time *. 1e3)
     (recording_time *. 1e3)
 
+(* The seed-42 Maiorana-McFarland 6+6 instance (15 qubits) through
+   lowering and T-par: the peephole keeps its pinned gate count, and one
+   pass over the 19k gates stays interactive (the restart-from-zero
+   fixpoint it replaced took about 9 s). *)
+let peephole _ =
+  let inst = Core.Hidden_shift.random_mm_instance (Random.State.make [| 42 |]) 6 in
+  let lowered, _ = Qc.Clifford_t.compile (Core.Hidden_shift.build inst) in
+  let folded = Qc.Tpar.optimize lowered in
+  let t0 = Unix.gettimeofday () in
+  let final = Qc.Opt.simplify folded in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let gates = Qc.Circuit.num_gates final in
+  if gates <> 14712 then fail "MM 6+6 simplifies to %d gates, want 14712" gates;
+  if elapsed > 1. then fail "simplify took %.2fs (> 1s ceiling)" elapsed;
+  Printf.sprintf "MM 6+6 %d -> %d gates, simplify %.1fms" (Qc.Circuit.num_gates folded) gates
+    (elapsed *. 1e3)
+
 (* Bump every per-entry "t_count" value of snapshot a.json by 16, past
    any threshold, into regressed.json. The rollup object under the same
    key carries no bare number, so only the entry records change. *)
@@ -194,6 +211,9 @@ let cases =
   [ (* compile + simulate in-process, under a generous ceiling: only a
        catastrophic regression trips it *)
     { name = "solve"; steps = [ Do solve ]; checks = []; ceiling = Some 30. };
+    (* the one-pass peephole on a 15-qubit flow output: same gates, in
+       milliseconds *)
+    { name = "peephole"; steps = [ Do peephole ]; checks = []; ceiling = None };
     (* --trace-out writes a valid, well-nested JSONL log, and the
        disabled telemetry path stays one branch *)
     { name = "trace";

@@ -287,9 +287,9 @@ let serve_main ~faults rest =
       print_endline (Serve.Load.describe t);
       let s = Serve.Load.run t in
       List.iter print_endline (Serve.summary_lines s);
-      let m = Serve.summary_metrics s in
-      let get k = try List.assoc k m with Not_found -> 0. in
-      Printf.eprintf "wall %.1fms, %.0f jobs/sec\n" (get "wall_ms") (get "jobs_per_sec")
+      let delivered = s.Serve.n_validated + s.Serve.n_degraded in
+      Printf.eprintf "wall %.1fms, %.0f jobs/sec\n" (s.Serve.wall_us /. 1e3)
+        (float_of_int delivered /. Float.max 1e-9 (s.Serve.wall_us /. 1e6))
   | _ -> usage ()
 
 let main () =

@@ -768,36 +768,6 @@ let summary_lines s =
       s.tenant_rows
   @ [ Printf.sprintf "delivered %d  results digest %s" delivered (results_digest s) ]
 
-(** [summary_metrics s] — the flat numeric rollup; [qasm_tool serve
-    load] prints its wall-clock rows. The [*_us] rows are virtual-clock
-    percentiles (deterministic); [wall_ms] and [jobs_per_sec] are real
-    time. *)
-let summary_metrics s =
-  let qw = stats_opt (queue_wait_samples s) in
-  let lat = stats_opt (latency_samples s) in
-  let get f = function None -> 0. | Some st -> f st in
-  let delivered = s.n_validated + s.n_degraded in
-  let total = max 1 (Array.length s.results) in
-  [ ("requests", float_of_int (Array.length s.results));
-    ("tenants", float_of_int (List.length s.tenant_rows));
-    ("validated", float_of_int s.n_validated);
-    ("degraded", float_of_int s.n_degraded);
-    ("shed", float_of_int s.n_shed);
-    ("deadline_exceeded", float_of_int s.n_deadline);
-    ("queue_wait_p50_us", get (fun st -> st.Obs.Summary.p50) qw);
-    ("queue_wait_p99_us", get (fun st -> st.Obs.Summary.p99) qw);
-    ("latency_p50_us", get (fun st -> st.Obs.Summary.p50) lat);
-    ("latency_p99_us", get (fun st -> st.Obs.Summary.p99) lat);
-    ("shed_rate", float_of_int s.n_shed /. float_of_int total);
-    ("coalesce_hits", float_of_int s.coalesce_hits);
-    ("compiles", float_of_int s.compiles);
-    ( "coalesce_hit_rate",
-      float_of_int s.coalesce_hits
-      /. float_of_int (max 1 (s.coalesce_hits + s.compiles)) );
-    ("virtual_ms", s.virtual_us /. 1e3);
-    ("wall_ms", s.wall_us /. 1e3);
-    ("jobs_per_sec", float_of_int delivered /. Float.max 1e-9 (s.wall_us /. 1e6)) ]
-
 (* ------------------------------------------------------------------ *)
 (* The open-loop load generator                                        *)
 (* ------------------------------------------------------------------ *)

@@ -92,6 +92,59 @@ let prop_idempotent_t_count =
 
 (* ---- peephole Opt ---- *)
 
+(* The restart-from-zero fixpoint [Opt.simplify] replaced, kept as the
+   reference for the one-pass version: find the earliest gate i that
+   commutes right (past gates on other qubits, or past phase gates on its
+   own qubit when it is one) onto a gate j it fuses with to at most one
+   gate; drop i, put the fusion at j, and start over from gate 0. *)
+let reference_step gates =
+  let n = Array.length gates in
+  let disjoint a b =
+    let qb = Gate.qubits b in
+    not (List.exists (fun q -> List.mem q qb) (Gate.qubits a))
+  in
+  let result = ref None in
+  (try
+     for i = 0 to n - 2 do
+       let rec probe j =
+         if j >= n then ()
+         else
+           match Opt.fuse gates.(i) gates.(j) with
+           | Some replacement when List.length replacement < 2 ->
+               let out = ref [] in
+               for k = n - 1 downto 0 do
+                 if k = j then out := replacement @ !out
+                 else if k <> i then out := gates.(k) :: !out
+               done;
+               result := Some (Array.of_list !out);
+               raise Exit
+           | _ ->
+               let commutes =
+                 disjoint gates.(i) gates.(j)
+                 ||
+                 match (Opt.target_of_phase gates.(i), Opt.target_of_phase gates.(j)) with
+                 | Some qa, Some qb -> qa = qb
+                 | _ -> false
+               in
+               if commutes then probe (j + 1)
+       in
+       probe (i + 1)
+     done
+   with Exit -> ());
+  !result
+
+let reference_simplify c =
+  let gates = ref (Circuit.to_array c) in
+  let budget = ref ((Array.length !gates * 8) + 64) in
+  let continue_ = ref true in
+  while !continue_ && !budget > 0 do
+    decr budget;
+    match reference_step !gates with
+    | Some g -> gates := g
+    | None -> continue_ := false
+  done;
+  Circuit.of_gates (Circuit.num_qubits c) (Array.to_list !gates)
+
 let test_opt_cancellation () =
   let c = Circuit.of_gates 2 [ Gate.H 0; Gate.H 0; Gate.Cnot (0, 1); Gate.Cnot (0, 1) ] in
   Alcotest.(check int) "all cancel" 0 (Circuit.num_gates (Opt.simplify c))
@@ -113,16 +166,26 @@ let test_opt_across_disjoint () =
 
 let test_opt_two_gate_fusion_is_no_rewrite () =
   (* S·T and Z·T fuse back into the same two gates (eighths 3 and 5);
-     taking that as a rewrite made [simplify] spin until its budget ran
-     out and never reach the rewrites after it *)
-  let none what gates =
-    Alcotest.(check bool) what true (Opt.rewrite_once gates = None)
+     taking that as a rewrite once made the fixpoint spin until its
+     budget ran out and never reach the rewrites after it *)
+  let kept what gates =
+    let c = Circuit.of_gates 1 gates in
+    Alcotest.(check bool) what true (Circuit.gates (Opt.simplify c) = gates)
   in
-  none "S T is no rewrite" [| Gate.S 0; Gate.T 0 |];
-  none "Z T is no rewrite" [| Gate.Z 0; Gate.T 0 |];
+  kept "S T stays" [ Gate.S 0; Gate.T 0 ];
+  kept "Z T stays" [ Gate.Z 0; Gate.T 0 ];
   (* a later fusion is still found past such a pair *)
   let c = Circuit.of_gates 2 [ Gate.S 0; Gate.T 0; Gate.H 1; Gate.H 1 ] in
   Alcotest.(check int) "H pair after S T cancels" 2 (Circuit.num_gates (Opt.simplify c))
+
+let test_opt_phase_run_partner () =
+  (* T† meets the run S T on qubit 0 and fuses with both; the earliest,
+     S, is the reference's partner. The T that gives takes T†'s slot, past
+     the H, and meets the T there. *)
+  let c = Circuit.of_gates 2 [ Gate.S 0; Gate.T 0; Gate.H 1; Gate.Tdg 0 ] in
+  let expected = [ Gate.H 1; Gate.S 0 ] in
+  Alcotest.(check bool) "reference" true (Circuit.gates (reference_simplify c) = expected);
+  Alcotest.(check bool) "one pass" true (Circuit.gates (Opt.simplify c) = expected)
 
 let prop_opt_preserves_unitary =
   Helpers.prop "peephole preserves the unitary exactly" ~count:150
@@ -132,6 +195,30 @@ let prop_opt_preserves_unitary =
 let prop_opt_never_grows =
   Helpers.prop "peephole never grows" (Helpers.qcircuit_gen 3 20) (fun c ->
       Circuit.num_gates (Opt.simplify c) <= Circuit.num_gates c)
+
+(* T-par output of a random MCT cascade lowered to Clifford+T *)
+let lowered_tpar_gen ~rccx_ladder =
+  QCheck2.Gen.map
+    (fun rc ->
+      let options = { Clifford_t.default_options with rccx_ladder } in
+      Tpar.optimize (fst (Clifford_t.compile ~options (Clifford_t.of_rcircuit rc))))
+    (Helpers.rcircuit_gen 5 12)
+
+let prop_opt_matches_reference ~rccx_ladder =
+  Helpers.prop
+    (Printf.sprintf "peephole = reference, %s T-par output"
+       (if rccx_ladder then "RCCX" else "7-T"))
+    ~count:150 (lowered_tpar_gen ~rccx_ladder)
+    (fun c -> Circuit.gates (Opt.simplify c) = Circuit.gates (reference_simplify c))
+
+let prop_opt_fixpoint =
+  Helpers.prop "peephole output has no rewrite left" ~count:300 (Helpers.qcircuit_gen 4 40)
+    (fun c -> reference_step (Circuit.to_array (Opt.simplify c)) = None)
+
+let prop_opt_not_above_reference =
+  Helpers.prop "peephole keeps no more gates than reference" ~count:300
+    (Helpers.qcircuit_gen 4 40)
+    (fun c -> Circuit.num_gates (Opt.simplify c) <= Circuit.num_gates (reference_simplify c))
 
 let () =
   Alcotest.run "tpar"
@@ -155,5 +242,10 @@ let () =
           Alcotest.test_case "across disjoint" `Quick test_opt_across_disjoint;
           Alcotest.test_case "two-gate fusion is no rewrite" `Quick
             test_opt_two_gate_fusion_is_no_rewrite;
+          Alcotest.test_case "phase-run partner" `Quick test_opt_phase_run_partner;
           prop_opt_preserves_unitary;
-          prop_opt_never_grows ] ) ]
+          prop_opt_never_grows;
+          prop_opt_matches_reference ~rccx_ladder:true;
+          prop_opt_matches_reference ~rccx_ladder:false;
+          prop_opt_fixpoint;
+          prop_opt_not_above_reference ] ) ]
