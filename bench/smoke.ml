@@ -22,7 +22,8 @@ type step =
 
 type check =
   | Same of string list  (** temp files, non-empty and byte-identical *)
-  | Pinned of string * string  (** temp file, input file it must equal *)
+  | Pinned of string list * string
+      (** temp files, whose concatenation must equal the input file *)
   | Contains of string * string  (** temp file, substring *)
   | One_line of string * string
       (** temp file holding exactly one line, which starts with the prefix *)
@@ -186,6 +187,26 @@ let layers_qasm ~shift =
   end;
   Buffer.contents b
 
+(* The 16-qubit inner-product instance of the Fig. 4 family, compiled:
+   a Clifford circuit, so the noisy backend runs it as Pauli frames. *)
+let inner_product_qasm =
+  let inst = Core.Hidden_shift.Inner_product { n = 8; s = 0xb5 } in
+  let c, _ = Core.Hidden_shift.build_compiled inst in
+  Qc.Qasm.to_string ~measure:false c
+
+(* An [n]-qubit GHZ state, whose first measurement is a random branch,
+   and the same circuit with a T gate, which no tableau runs. *)
+let ghz_qasm ?(t = false) n =
+  let b = Buffer.create 256 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  line "OPENQASM 2.0;";
+  line "include \"qelib1.inc\";";
+  line "qreg q[%d];" n;
+  line "h q[0];";
+  if t then line "t q[0];";
+  for q = 1 to n - 1 do line "cx q[0],q[%d];" q done;
+  Buffer.contents b
+
 let write_tmp name contents =
   Do
     (fun dir ->
@@ -223,6 +244,37 @@ let cases =
           Do null_flow_overhead ];
       checks = [ Counters ("cli.jsonl", [ "qc.statevector.gates_applied" ]) ];
       ceiling = None };
+    (* every simulation path prints the pinned lines: Pauli frames, the
+       sparse noiseless state and the tableau on a Clifford circuit, and
+       gate-by-gate noisy shots on a non-Clifford XAG oracle *)
+    { name = "sim";
+      steps =
+        [ write_tmp "ip.qasm" inner_product_qasm;
+          Run ("ip_noisy", [ qt; "run"; "noisy:shots=256,seed=7"; "$tmp/ip.qasm" ], 0);
+          Run ("ip_sv", [ qt; "run"; "statevector"; "$tmp/ip.qasm" ], 0);
+          Run ("ip_stab", [ qt; "run"; "stabilizer"; "$tmp/ip.qasm" ], 0);
+          Run ("oracle_noisy", [ qt; "run"; "noisy"; "--oracle-xag"; "ltconst:8:100" ], 0);
+          Run ("oracle_sv", [ qt; "run"; "statevector"; "--oracle-xag"; "ltconst:8:100" ], 0) ];
+      checks =
+        [ Pinned
+            ( [ "ip_noisy.out"; "ip_sv.out"; "ip_stab.out"; "oracle_noisy.out"; "oracle_sv.out" ],
+              "sim_smoke.expected" ) ];
+      ceiling = None };
+    (* stabsim prints what `run stabilizer` prints, random branch
+       included, on every run; a non-Clifford file exits 1 *)
+    { name = "stabsim";
+      steps =
+        [ write_tmp "ghz.qasm" (ghz_qasm 8);
+          write_tmp "ghz_t.qasm" (ghz_qasm ~t:true 8);
+          Run ("a", [ qt; "stabsim"; "$tmp/ghz.qasm" ], 0);
+          Run ("b", [ qt; "stabsim"; "$tmp/ghz.qasm" ], 0);
+          Run ("run", [ qt; "run"; "stabilizer"; "$tmp/ghz.qasm" ], 0);
+          Run ("t", [ qt; "stabsim"; "$tmp/ghz_t.qasm" ], 1) ];
+      checks =
+        [ Same [ "a.out"; "b.out"; "run.out" ];
+          Contains ("a.out", "random branch");
+          One_line ("t.err", "stabsim: ") ];
+      ceiling = None };
     (* the cache, off, cold or warm, never changes compiled output, and
        the persisted NPN store serves the warm run *)
     { name = "cache";
@@ -243,7 +295,7 @@ let cases =
           sim ~label:"sharded" [ "--jobs"; "1"; "--shard-bits"; "3" ] ];
       checks =
         [ Same [ "j1.out"; "j4.out"; "sharded.out" ];
-          Pinned ("j1.out", "plan_smoke.expected");
+          Pinned ([ "j1.out" ], "plan_smoke.expected");
           Counters ("j1.jsonl", [ "sv.plan.blocks" ]) ];
       ceiling = None };
     (* slab layout and worker count never change a printed digit, and
@@ -405,11 +457,12 @@ let check ~inputs ~dir notes c =
       if reference = "" then fail "%s is empty" first;
       List.iter (fun f -> if tmp f <> reference then fail "%s differs from %s" f first) rest;
       notes
-  | Pinned (file, input) -> (
+  | Pinned (files, input) -> (
       match List.assoc_opt input inputs with
       | None -> fail "no input named %s" input
       | Some path ->
-          if tmp file <> read_file path then fail "%s differs from %s" file path;
+          if String.concat "" (List.map tmp files) <> read_file path then
+            fail "%s differ from %s" (String.concat " + " files) path;
           notes)
   | Contains (file, sub) ->
       if find ~sub (tmp file) = None then

@@ -378,15 +378,14 @@ let main () =
             let p = Qc.Statevector.prob sv x in
             if p > 1e-6 then Printf.printf "%6d  %.6f\n" x p
           done
-      | "stabsim" ->
-          if not (Qc.Stabilizer.is_clifford_circuit circuit) then begin
-            Printf.eprintf "stabsim: non-Clifford gates present\n";
-            exit 1
-          end;
-          let st = Random.State.make_self_init () in
-          let outcome, det = Qc.Stabilizer.measure_all ~st (Qc.Stabilizer.run circuit) in
-          Printf.printf "measured %d (%s)\n" outcome
-            (if det then "deterministic" else "random branch")
+      | "stabsim" -> (
+          match Qc.Sim.tableau circuit with
+          | None ->
+              Printf.eprintf "stabsim: non-Clifford gates present\n";
+              exit 1
+          | Some (outcome, deterministic) ->
+              print_endline
+                (Qc.Backend.outcome_to_string (Qc.Backend.Measured { outcome; deterministic })))
       | "route" ->
           let r = Qc.Route.lnn circuit in
           Printf.eprintf "inserted %d SWAPs; final placement: [%s]\n"

@@ -119,14 +119,14 @@ let build_compiled ?(tpar = true) ?passes instance =
   let final, _trace = Pass.run_qc passes mapped in
   (final, ancillae)
 
-(** [solve i] runs the noiseless simulation and returns the measured shift.
-    On perfect gates the outcome is deterministic, so the most likely basis
-    state {e is} the answer; [solve] additionally checks determinism and
-    raises [Failure] if the final state is not a basis state. *)
+(** [solve i] runs the noiseless simulation ({!Qc.Sim.state}, sparse
+    first) and returns the measured shift. On perfect gates the outcome
+    is deterministic, so the most likely basis state {e is} the answer;
+    [solve] additionally checks determinism and raises [Failure] if the
+    final state is not a basis state. *)
 let solve instance =
-  let sv = Qc.Statevector.run (build instance) in
-  let outcome = Qc.Statevector.most_likely sv in
-  if not (Qc.Statevector.is_basis_state ~eps:1e-6 sv outcome) then
+  let outcome, deterministic = Qc.Sim.readout (Qc.Sim.state (build instance)) in
+  if not deterministic then
     failwith "Hidden_shift.solve: outcome not deterministic (compilation bug?)";
   outcome
 
@@ -139,12 +139,10 @@ let solve instance =
     [Invalid_argument] on non-Clifford circuits and [Failure] if the
     outcome is not deterministic. *)
 let solve_clifford instance =
-  let c = build instance in
-  if not (Qc.Stabilizer.is_clifford_circuit c) then
-    invalid_arg "Hidden_shift.solve_clifford: circuit is not Clifford";
-  let outcome, deterministic = Qc.Stabilizer.measure_all (Qc.Stabilizer.run c) in
-  if not deterministic then failwith "Hidden_shift.solve_clifford: outcome not deterministic";
-  outcome
+  match Qc.Sim.tableau (build instance) with
+  | None -> invalid_arg "Hidden_shift.solve_clifford: circuit is not Clifford"
+  | Some (_, false) -> failwith "Hidden_shift.solve_clifford: outcome not deterministic"
+  | Some (outcome, true) -> outcome
 
 (** [run_noisy ?seed params i ~shots ~runs] executes the circuit on the
     noisy backend — the Fig. 6 experiment. Returns per-outcome mean and

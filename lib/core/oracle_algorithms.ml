@@ -34,11 +34,9 @@ let bv_circuit ~n ~a ~b =
 (** [bernstein_vazirani ~n ~a ~b] recovers the hidden string [a] with a
     single oracle query; deterministic. *)
 let bernstein_vazirani ~n ~a ~b =
-  let sv = Qc.Statevector.run (bv_circuit ~n ~a ~b) in
-  let outcome = Qc.Statevector.most_likely sv in
-  if not (Qc.Statevector.is_basis_state ~eps:1e-6 sv outcome) then
-    failwith "bernstein_vazirani: outcome not deterministic";
-  outcome
+  match Qc.Sim.readout (Qc.Sim.state (bv_circuit ~n ~a ~b)) with
+  | outcome, true -> outcome
+  | _ -> failwith "bernstein_vazirani: outcome not deterministic"
 
 (* --- Deutsch–Jozsa --- *)
 
@@ -60,7 +58,5 @@ let deutsch_jozsa f =
   let ones = Truth_table.count_ones f in
   if ones <> 0 && ones <> 1 lsl n && 2 * ones <> 1 lsl n then
     invalid_arg "deutsch_jozsa: function is neither constant nor balanced";
-  let circuit = dj_circuit f in
-  let sv = Qc.Statevector.run circuit in
   (* amplitude of |0…0⟩ is ±1 for constant f, 0 for balanced f *)
-  if Qc.Statevector.prob sv 0 > 0.5 then Constant else Balanced
+  if Qc.Sim.prob (Qc.Sim.state (dj_circuit f)) 0 > 0.5 then Constant else Balanced

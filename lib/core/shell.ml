@@ -222,14 +222,13 @@ let exec_cmd st words =
             r.Qc.Route.swaps_inserted (Qc.Circuit.num_gates c)
             (Qc.Circuit.num_gates r.Qc.Route.circuit);
           { st with qc = Some r.Qc.Route.circuit }
-      | "stabsim" ->
-          let c = need_qc st in
-          if not (Qc.Stabilizer.is_clifford_circuit c) then
-            failf "stabsim: circuit contains non-Clifford gates";
-          let outcome, det = Qc.Stabilizer.measure_all (Qc.Stabilizer.run c) in
-          say st "stabsim: measured %d (%s)" outcome
-            (if det then "deterministic" else "one random branch");
-          st
+      | "stabsim" -> (
+          match Qc.Sim.tableau (need_qc st) with
+          | None -> failf "stabsim: circuit contains non-Clifford gates"
+          | Some (outcome, det) ->
+              say st "stabsim: measured %d (%s)" outcome
+                (if det then "deterministic" else "one random branch");
+              st)
       | "esop" ->
           let c = Rev.Esop_synth.synth (need_func st) in
           say st "esop: %d gates on %d lines" (Rev.Rcircuit.num_gates c) (Rev.Rcircuit.num_lines c);

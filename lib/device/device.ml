@@ -337,34 +337,11 @@ let breaker_to_string d =
     spec becomes a noisy primary with a statevector fallback — the
     paper-shaped degradation chain; any other backend runs alone. *)
 let of_spec ?policy ?profile spec =
-  let name, arg =
-    match String.index_opt spec ':' with
-    | None -> (String.trim spec, None)
-    | Some i ->
-        ( String.trim (String.sub spec 0 i),
-          Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
-  in
-  match name with
-  | "noisy" ->
-      let shots = ref 1024 and seed = ref 0xC0FFEE and jobs = ref None in
-      Option.iter
-        (fun a ->
-          List.iter
-            (fun kv ->
-              match String.split_on_char '=' kv with
-              | [ "shots"; v ] -> shots := Backend.int_param "noisy:shots" v
-              | [ "seed"; v ] -> seed := Backend.int_param "noisy:seed" v
-              | [ "jobs"; v ] -> jobs := Some (Backend.int_param "noisy:jobs" v)
-              | _ ->
-                  Backend.failf
-                    "noisy: unknown parameter %s (expected shots=N, seed=N or \
-                     jobs=N)"
-                    kv)
-            (String.split_on_char ',' a))
-        arg;
-      create ?policy ?profile ~shots:!shots ~seed:!seed
-        ~fallbacks:[ statevector ]
-        (noisy ?jobs:!jobs Noise.ibm_qx2017)
+  match Backend.split_spec spec with
+  | "noisy", arg ->
+      let shots, seed, jobs = Backend.noisy_args arg in
+      create ?policy ?profile ~shots ~seed ~fallbacks:[ statevector ]
+        (noisy ?jobs Noise.ibm_qx2017)
   | _ -> create ?policy ?profile (of_backend (Backend.of_spec spec))
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,9 @@
     (the noisy Monte-Carlo backend), or exported text (QASM, Q#, ASCII
     drawing). The flow, the shell ([run <target>]) and the CLIs
     ([--target]) all hand circuits to backends uniformly; adding a target
-    means adding one value of type {!t}, not editing the flow. *)
+    means adding one value of type {!t}, not editing the flow. How a
+    simulator target runs a circuit (sparse or dense, tableau) is
+    {!Sim}'s choice, not the backend's. *)
 
 exception Unsupported of string
 (** The circuit cannot run on this backend (too wide, non-Clifford, …) or
@@ -68,46 +70,40 @@ let outcome_to_string o = Fmt.str "%a" pp_outcome o
 let make ~name ~doc run =
   { name; doc; run = (fun c -> Obs.with_span ("qc.backend." ^ name) (fun () -> run c)) }
 
-(* Noiseless simulation, sparse first: oracle circuits keep a handful of
-   nonzero amplitudes, so [Sparse.run] costs their support, not 2^n.
-   Past [Sparse.budget] it gives up and the dense plan path
-   ([Statevector.run]) runs the circuit from the start. Either way the
-   outcome is the most likely basis state (smallest index on ties), and
-   it is deterministic when its probability is 1 within 1e-6. The span's
-   [support] attribute is the number of nonzero amplitudes of a sparse
-   run, or "dense". *)
+(* Noiseless simulation on {!Sim.state}, sparse first. The outcome is
+   the most likely basis state (smallest index on ties), deterministic
+   when its probability is 1 within 1e-6. The span's [support] attribute
+   is the number of nonzero amplitudes of a sparse run, or "dense". *)
 let statevector =
   make ~name:"statevector"
     ~doc:
       "noiseless simulation, sparse while few amplitudes are nonzero; reports the most \
        likely outcome"
     (fun c ->
-        (* width is bounded by the statevector's own allocation guard
-           (DAUTOQ_SV_MAX_QUBITS); refusing here keeps the error a
-           Backend.Unsupported like every other target mismatch *)
-        let n = Circuit.num_qubits c in
-        let cap = Statevector.max_qubits () in
-        if n > cap then failf "statevector: %d qubits exceed the dense cap of %d" n cap;
-        let measured x p = Measured { outcome = x; deterministic = Float.abs (p -. 1.) < 1e-6 } in
-        match Sparse.run ~budget:(Sparse.budget n) c with
-        | Some s ->
-            if Obs.enabled () then Obs.add_attrs [ ("support", Obs.Int (Sparse.support s)) ];
-            let x = Sparse.most_likely s in
-            measured x (Sparse.prob s x)
-        | None ->
-            if Obs.enabled () then Obs.add_attrs [ ("support", Obs.Str "dense") ];
-            let sv = Statevector.run c in
-            let x = Statevector.most_likely sv in
-            measured x (Statevector.prob sv x))
+      (* refusing here, before the statevector's own allocation guard
+         (DAUTOQ_SV_MAX_QUBITS), keeps the error a Backend.Unsupported
+         like every other target mismatch *)
+      let n = Circuit.num_qubits c in
+      let cap = Statevector.max_qubits () in
+      if n > cap then failf "statevector: %d qubits exceed the dense cap of %d" n cap;
+      let st = Sim.state c in
+      if Obs.enabled () then begin
+        let support =
+          match st with Sim.Sparse s -> Obs.Int (Sparse.support s) | Sim.Dense _ -> Obs.Str "dense"
+        in
+        Obs.add_attrs [ ("support", support) ]
+      end;
+      let outcome, deterministic = Sim.readout st in
+      Measured { outcome; deterministic })
 
+(* The CHP tableau ({!Sim.tableau}); a random branch reads 0. *)
 let stabilizer =
   make ~name:"stabilizer"
     ~doc:"CHP tableau simulation; Clifford circuits only, polynomial in width"
     (fun c ->
-      if not (Stabilizer.is_clifford_circuit c) then
-        failf "stabilizer: circuit contains non-Clifford gates";
-      let outcome, deterministic = Stabilizer.measure_all (Stabilizer.run c) in
-      Measured { outcome; deterministic })
+      match Sim.tableau c with
+      | Some (outcome, deterministic) -> Measured { outcome; deterministic }
+      | None -> failf "stabilizer: circuit contains non-Clifford gates")
 
 (* The backend is named by its family ("noisy", matching the catalog and
    error messages); the instance parameters live in [doc]. *)
@@ -161,18 +157,39 @@ let int_param name value =
   | Some i when i > 0 -> i
   | _ -> failf "%s: expected a positive integer, got %s" name value
 
+(** [split_spec spec] splits ["name:arg"] into [(name, Some arg)] and
+    ["name"] into [(name, None)]. *)
+let split_spec spec =
+  match String.index_opt spec ':' with
+  | None -> (String.trim spec, None)
+  | Some i ->
+      ( String.trim (String.sub spec 0 i),
+        Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
+
+(** [noisy_args arg] reads the argument of a [noisy[:shots=N,seed=N,jobs=N]]
+    spec: [(shots, seed, jobs)], by default 1024 shots and seed
+    0xC0FFEE. Raises {!Unsupported} naming a bad parameter. *)
+let noisy_args arg =
+  let shots = ref 1024 and seed = ref 0xC0FFEE and jobs = ref None in
+  Option.iter
+    (fun a ->
+      List.iter
+        (fun kv ->
+          match String.split_on_char '=' kv with
+          | [ "shots"; v ] -> shots := int_param "noisy:shots" v
+          | [ "seed"; v ] -> seed := int_param "noisy:seed" v
+          | [ "jobs"; v ] -> jobs := Some (int_param "noisy:jobs" v)
+          | _ -> failf "noisy: unknown parameter %s (expected shots=N, seed=N or jobs=N)" kv)
+        (String.split_on_char ',' a))
+    arg;
+  (!shots, !seed, !jobs)
+
 (** [of_spec spec] resolves a backend spec string:
-    [statevector | stabilizer | noisy[:shots=N[,seed=N]] | qasm |
+    [statevector | stabilizer | noisy[:shots=N[,seed=N][,jobs=N]] | qasm |
      qsharp[:OperationName] | draw]. Raises {!Unsupported} naming the
     offending token. *)
 let of_spec spec =
-  let name, arg =
-    match String.index_opt spec ':' with
-    | None -> (String.trim spec, None)
-    | Some i ->
-        ( String.trim (String.sub spec 0 i),
-          Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
-  in
+  let name, arg = split_spec spec in
   let no_arg () =
     match arg with
     | None -> ()
@@ -186,21 +203,8 @@ let of_spec spec =
       no_arg ();
       stabilizer
   | "noisy" ->
-      let shots = ref 1024 and seed = ref 0xC0FFEE and jobs = ref None in
-      Option.iter
-        (fun a ->
-          List.iter
-            (fun kv ->
-              match String.split_on_char '=' kv with
-              | [ "shots"; v ] -> shots := int_param "noisy:shots" v
-              | [ "seed"; v ] -> seed := int_param "noisy:seed" v
-              | [ "jobs"; v ] -> jobs := Some (int_param "noisy:jobs" v)
-              | _ ->
-                  failf "noisy: unknown parameter %s (expected shots=N, seed=N or jobs=N)"
-                    kv)
-            (String.split_on_char ',' a))
-        arg;
-      noisy ~seed:!seed ~shots:!shots ?jobs:!jobs Noise.ibm_qx2017
+      let shots, seed, jobs = noisy_args arg in
+      noisy ~seed ~shots ?jobs Noise.ibm_qx2017
   | "qasm" ->
       no_arg ();
       qasm

@@ -11,7 +11,8 @@
     correct hidden shift dominates the histogram at p ≈ 0.6 rather than
     p = 1.
 
-    {!run_shots} runs a shot batch on one of three paths:
+    {!run_shots} runs a shot batch on one of three paths, which
+    {!Sim.noisy_path} picks from the circuit and the noise parameters:
     - {b Pauli frames}, for every Clifford circuit with [gamma = 0]
       (the Fig. 4 inner-product circuits among them), with or without
       gate and readout noise. The error draws then do not depend on the
@@ -25,10 +26,11 @@
       is the int that holds an outcome ({!max_qubits} = 62), not the
       statevector's.
     - {b One shared sample table}, for other circuits without gate noise
-      ([p1 = p2 = gamma = 0]): the circuit is simulated once and every
-      shot draws from its cumulative distribution — over the support
-      when the state stays within {!Sparse.budget}, else over all 2^n
-      amplitudes; both tables draw the same outcomes.
+      ([p1 = p2 = gamma = 0]): the circuit is simulated once
+      ({!Sim.state}) and every shot draws from its cumulative
+      distribution — over the support when the state stays within
+      {!Sparse.budget}, else over all 2^n amplitudes; both tables draw
+      the same outcomes.
     - {b Gate by gate, sparse then dense} ({!run_shot_raw}), for every
       other circuit: each shot applies its gates and sampled errors to a
       {!Sparse} state, which costs the support of the state, not 2^n —
@@ -82,67 +84,51 @@ let scale_params f p =
 (* Outcome histograms                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** An outcome histogram. Dense [int array] up to {!sparse_threshold}
-    qubits; above that a hashtable keyed by outcome — shots ≪ 2^n there,
-    and the dense array alone would cost [2^n] words per run. *)
-type counts =
-  | Dense of int array
-  | Sparse of { size : int; tbl : (int, int) Hashtbl.t }
+(** An outcome histogram over a [size = 2^n] outcome space, keyed by
+    outcome: a batch holds at most one entry per shot, whatever [n]. *)
+type counts = { size : int; tbl : (int, int) Hashtbl.t }
 
-(** Widths above this store counts sparsely (2^20 ints = 8 MB). *)
-let sparse_threshold = 20
+(** Widest circuit {!runs_statistics} accepts: its mean and deviation
+    tables are dense (2^20 floats = 8 MB a table). *)
+let statistics_max_qubits = 20
 
-let counts_make n =
-  if n <= sparse_threshold then Dense (Array.make (1 lsl n) 0)
-  else Sparse { size = 1 lsl n; tbl = Hashtbl.create 256 }
+let counts_make n = { size = 1 lsl n; tbl = Hashtbl.create 256 }
 
 let counts_add c x k =
-  match c with
-  | Dense a -> a.(x) <- a.(x) + k
-  | Sparse { tbl; _ } ->
-      Hashtbl.replace tbl x (k + Option.value ~default:0 (Hashtbl.find_opt tbl x))
+  Hashtbl.replace c.tbl x (k + Option.value ~default:0 (Hashtbl.find_opt c.tbl x))
 
 (** [count c x] is the number of shots that measured outcome [x]. *)
-let count c x =
-  match c with
-  | Dense a -> a.(x)
-  | Sparse { tbl; _ } -> Option.value ~default:0 (Hashtbl.find_opt tbl x)
+let count c x = Option.value ~default:0 (Hashtbl.find_opt c.tbl x)
 
 (** [counts_size c] is the outcome-space size [2^n]. *)
-let counts_size = function Dense a -> Array.length a | Sparse { size; _ } -> size
+let counts_size c = c.size
 
 (** [counts_to_alist c] lists the nonzero [(outcome, count)] pairs in
-    ascending outcome order (deterministic for either representation). *)
+    ascending outcome order. *)
 let counts_to_alist c =
-  match c with
-  | Dense a ->
-      let acc = ref [] in
-      for x = Array.length a - 1 downto 0 do
-        if a.(x) > 0 then acc := (x, a.(x)) :: !acc
-      done;
-      !acc
-  | Sparse { tbl; _ } ->
-      List.sort compare (Hashtbl.fold (fun x k acc -> (x, k) :: acc) tbl [])
+  List.sort compare (Hashtbl.fold (fun x k acc -> (x, k) :: acc) c.tbl [])
 
 (** [iter_counts f c] applies [f outcome count] to every nonzero entry in
     ascending outcome order. *)
 let iter_counts f c = List.iter (fun (x, k) -> f x k) (counts_to_alist c)
 
 (** [total_counts c] sums the histogram (= the shot count). *)
-let total_counts c =
-  List.fold_left (fun acc (_, k) -> acc + k) 0 (counts_to_alist c)
+let total_counts c = Hashtbl.fold (fun _ k acc -> acc + k) c.tbl 0
 
-(** [counts_of_array a] wraps a dense histogram (handy in tests). *)
-let counts_of_array a = Dense (Array.copy a)
+(** [counts_of_array a] is the histogram with [a.(x)] shots on outcome
+    [x] over [Array.length a] outcomes (handy in tests). *)
+let counts_of_array a =
+  let c = { size = Array.length a; tbl = Hashtbl.create 16 } in
+  Array.iteri (fun x k -> if k > 0 then counts_add c x k) a;
+  c
 
 (** [counts_equal a b] compares histograms by content. *)
-let counts_equal a b =
-  counts_size a = counts_size b && counts_to_alist a = counts_to_alist b
+let counts_equal a b = a.size = b.size && counts_to_alist a = counts_to_alist b
 
 (* Merge [src] into [dst] (in place) and return [dst]. Integer addition
    commutes, so merge order cannot affect the result. *)
 let counts_merge dst src =
-  iter_counts (fun x k -> counts_add dst x k) src;
+  Hashtbl.iter (counts_add dst) src.tbl;
   dst
 
 (* ------------------------------------------------------------------ *)
@@ -184,28 +170,28 @@ let readout st params n x =
   done;
   !x
 
-(* The state of one gate-by-gate shot: sparse while its support stays
-   within the budget, dense from the first gate or error that passes it. *)
-type shot_state = Sp of Sparse.t | Sv of Statevector.t
-
 (* One noisy execution; returns (measured outcome, injected error count,
-   whether the state went dense). The PRNG draws — errors, damping jumps,
-   the final sample — come in the same order on either representation,
-   and the two compute the same amplitudes, so the result does not
-   depend on [budget]. No telemetry — safe to call from pool workers. *)
+   whether the state went dense). The state is sparse while its support
+   stays within [budget], dense from the first gate or error that passes
+   it. The PRNG draws — errors, damping jumps, the final sample — come
+   in the same order on either representation, and the two compute the
+   same amplitudes, so the result does not depend on [budget]. No
+   telemetry — safe to call from pool workers. *)
 let simulate_shot ~budget st params circuit =
   let n = Circuit.num_qubits circuit in
   Statevector.check_width n;
-  let state = ref (Sp (Sparse.init n)) and densified = ref false in
+  let state = ref (Sim.Sparse (Sparse.init n)) and densified = ref false in
   let settle () =
     match !state with
-    | Sp s when Sparse.support s > budget ->
-        state := Sv (Sparse.to_statevector s);
+    | Sim.Sparse s when Sparse.support s > budget ->
+        state := Sim.Dense (Sparse.to_statevector s);
         densified := true
     | _ -> ()
   in
   let apply g =
-    (match !state with Sp s -> Sparse.apply s g | Sv v -> Statevector.apply v g);
+    (match !state with
+    | Sim.Sparse s -> Sparse.apply s g
+    | Sim.Dense v -> Statevector.apply v g);
     settle ()
   in
   settle ();
@@ -225,18 +211,20 @@ let simulate_shot ~budget st params circuit =
             (* quantum-trajectory amplitude damping *)
             let p1 =
               match !state with
-              | Sp s -> Sparse.prob_of_qubit s q
-              | Sv v -> Statevector.prob_of_qubit v q
+              | Sim.Sparse s -> Sparse.prob_of_qubit s q
+              | Sim.Dense v -> Statevector.prob_of_qubit v q
             in
             let jump = Random.State.float st 1. < params.gamma *. p1 in
             match !state with
-            | Sp s -> Sparse.amplitude_damp s q ~gamma:params.gamma ~jump
-            | Sv v -> Statevector.amplitude_damp v q ~gamma:params.gamma ~jump
+            | Sim.Sparse s -> Sparse.amplitude_damp s q ~gamma:params.gamma ~jump
+            | Sim.Dense v -> Statevector.amplitude_damp v q ~gamma:params.gamma ~jump
           end)
         qs)
     circuit;
   let outcome =
-    match !state with Sp s -> Sparse.sample st s | Sv v -> Statevector.sample st v
+    match !state with
+    | Sim.Sparse s -> Sparse.sample st s
+    | Sim.Dense v -> Statevector.sample st v
   in
   (readout st params n outcome, !errors, !densified)
 
@@ -252,19 +240,6 @@ let run_shot_raw ?budget st params circuit =
   in
   let x, errors, _ = simulate_shot ~budget st params circuit in
   (x, errors)
-
-(** [run_shot st params circuit] simulates one noisy execution and returns
-    the measured basis state (all qubits, readout errors included). *)
-let run_shot st params circuit =
-  let budget = Sparse.budget (Circuit.num_qubits circuit) in
-  let result, errors, densified = simulate_shot ~budget st params circuit in
-  if Obs.enabled () then begin
-    Obs.count "qc.noise.shots";
-    Obs.count (if densified then "qc.noise.densified_shots" else "qc.noise.sparse_shots");
-    if errors > 0 then Obs.count ~by:errors "qc.noise.errors_injected";
-    Obs.observe "qc.noise.errors_per_shot" (float_of_int errors)
-  end;
-  result
 
 (* ------------------------------------------------------------------ *)
 (* Pauli frames (Clifford circuits)                                    *)
@@ -355,16 +330,6 @@ let run_frame_shot st params smp gates qubits n =
 (* Shot batches                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The noiseless fast path's sampler: over the support when the state
-   stays sparse (an oracle circuit keeps a handful of amplitudes), over
-   the dense state otherwise. Both draw the same outcome for a seed. *)
-type readout_sampler = Sparse_smp of Sparse.sampler | Dense_smp of Statevector.sampler
-
-let sample_with smp st =
-  match smp with
-  | Sparse_smp s -> Sparse.sample_with s st
-  | Dense_smp d -> Statevector.sample_with d st
-
 (* One-slot memo for the noiseless fast path: [runs_statistics], device
    retries and repeated shell/CLI invocations re-sample the same compiled
    circuit, and the simulated state plus its CDF are pure functions of
@@ -374,7 +339,7 @@ let sample_with smp st =
    memo never pins a single contiguous 2^n array on wide sharded runs,
    and draws are bit-identical for any shard-bits setting. Main-domain
    only (like Obs); workers never call run_shots. *)
-let sampler_memo : (string * readout_sampler) option ref = ref None
+let sampler_memo : (string * Sim.sampler) option ref = ref None
 
 let sampler_for circuit =
   let key = Circuit.structural_key circuit in
@@ -383,21 +348,16 @@ let sampler_for circuit =
       if Obs.enabled () then Obs.count "qc.noise.sampler_reuse";
       smp
   | _ ->
-      let smp =
-        match Sparse.run ~budget:(Sparse.budget (Circuit.num_qubits circuit)) circuit with
-        | Some s -> Sparse_smp (Sparse.sampler s)
-        | None -> Dense_smp (Statevector.sampler (Statevector.run circuit))
-      in
+      let smp = Sim.sampler (Sim.state circuit) in
       sampler_memo := Some (key, smp);
       smp
 
 (** [run_shots ?seed ?jobs params circuit ~shots] returns the histogram of
-    measured basis states over [shots] executions. A Clifford circuit with
-    [gamma = 0] takes the Pauli-frame path on the calling domain; without
-    gate noise any other circuit is simulated once and sampled; the rest
-    run gate by gate, sparse then dense, fanned out over [jobs] worker
-    domains (default {!Par.default_jobs}). The histogram is bit-identical
-    for every [jobs] value: [~jobs:1] defines the reference result.
+    measured basis states over [shots] executions, on the path
+    {!Sim.noisy_path} names (see the header). Gate-by-gate shots fan out
+    over [jobs] worker domains (default {!Par.default_jobs}); the others
+    run on the calling domain. The histogram is bit-identical for every
+    [jobs] value: [~jobs:1] defines the reference result.
     Raises [Invalid_argument] past {!max_qubits} qubits, and
     {!Statevector.Unsupported} when a circuit off the frame path is wider
     than the statevector cap. *)
@@ -412,15 +372,17 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     let j = match jobs with Some j -> max 1 j | None -> Par.default_jobs () in
     min j (max 1 shots)
   in
-  let frame = params.gamma = 0. && Stabilizer.is_clifford_circuit circuit in
-  let noiseless = params.p1 = 0. && params.p2 = 0. && params.gamma = 0. in
-  if not frame then Statevector.check_width n;
+  let path =
+    Sim.noisy_path circuit
+      ~gate_noise:(params.p1 <> 0. || params.p2 <> 0.)
+      ~damping:(params.gamma <> 0.)
+  in
+  if path <> Sim.Frames then Statevector.check_width n;
   if Obs.enabled () then
     Obs.add_attrs
       [ ("shots", Obs.Int shots); ("qubits", Obs.Int n); ("jobs", Obs.Int jobs) ];
   let errors = Array.make (max 1 shots) 0 in
   (* per gate-by-gate shot: did its state go dense? *)
-  let gate_by_gate = not (frame || noiseless) in
   let densified = Array.make (max 1 shots) false in
   let budget = Sparse.budget n in
   let shot_range c lo hi =
@@ -433,51 +395,46 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
     c
   in
   let counts =
-    if frame then begin
-      (* Pauli frames (see the header): one tableau run and one sampler
-         for the whole batch, then O(gates + n) bit operations a shot. *)
-      let smp = Stabilizer.sampler (Stabilizer.run circuit) in
-      let gates = Circuit.to_array circuit in
-      let qubits = Array.map Gate.qubits gates in
-      let c = counts_make n in
-      for shot = 0 to shots - 1 do
-        let x, e = run_frame_shot (shot_state ~seed shot) params smp gates qubits n in
-        counts_add c x 1;
-        errors.(shot) <- e
-      done;
-      c
-    end
-    else if noiseless then begin
-      (* Without gate noise every shot runs the same circuit: simulate
-         once (memoized across calls — one sparse run or plan, one
-         sampler CDF), then draw each readout from the shared cumulative
-         table (binary search instead of a scan per shot). Still seeded
-         per shot, so the result is jobs-independent like the general
-         path. *)
-      let smp = sampler_for circuit in
-      let c = counts_make n in
-      for shot = 0 to shots - 1 do
-        let st = shot_state ~seed shot in
-        counts_add c (readout st params n (sample_with smp st)) 1
-      done;
-      c
-    end
-    else if jobs = 1 then shot_range (counts_make n) 0 shots
-    else
-      (* Chunk the shot range; each task accumulates a private histogram
-         (and per-shot results at disjoint indices), then the chunks
-         merge in index order on the calling domain. *)
-      Par.with_pool ~jobs (fun pool ->
-          Par.map_reduce pool ~tasks:jobs
-            ~map:(fun i ->
-              shot_range (counts_make n) (shots * i / jobs) (shots * (i + 1) / jobs))
-            ~reduce:counts_merge ~init:(counts_make n))
+    match path with
+    | Sim.Frames ->
+        (* Pauli frames (see the header): one tableau run and one sampler
+           for the whole batch, then O(gates + n) bit operations a shot. *)
+        let smp = Stabilizer.sampler (Stabilizer.run circuit) in
+        let gates = Circuit.to_array circuit in
+        let qubits = Array.map Gate.qubits gates in
+        let c = counts_make n in
+        for shot = 0 to shots - 1 do
+          let x, e = run_frame_shot (shot_state ~seed shot) params smp gates qubits n in
+          counts_add c x 1;
+          errors.(shot) <- e
+        done;
+        c
+    | Sim.Sampled ->
+        (* every shot runs the same circuit: one memoized table, a
+           binary search per shot, still seeded per shot *)
+        let smp = sampler_for circuit in
+        let c = counts_make n in
+        for shot = 0 to shots - 1 do
+          let st = shot_state ~seed shot in
+          counts_add c (readout st params n (Sim.sample_with smp st)) 1
+        done;
+        c
+    | Sim.Gate_by_gate when jobs = 1 -> shot_range (counts_make n) 0 shots
+    | Sim.Gate_by_gate ->
+        (* Chunk the shot range; each task accumulates a private histogram
+           (and per-shot results at disjoint indices), then the chunks
+           merge in index order on the calling domain. *)
+        Par.with_pool ~jobs (fun pool ->
+            Par.map_reduce pool ~tasks:jobs
+              ~map:(fun i ->
+                shot_range (counts_make n) (shots * i / jobs) (shots * (i + 1) / jobs))
+              ~reduce:counts_merge ~init:(counts_make n))
   in
   (* telemetry accumulated above, flushed once from the calling domain —
      workers never touch the (single-domain) Obs state *)
   if Obs.enabled () then begin
     Obs.count ~by:shots "qc.noise.shots";
-    if gate_by_gate && shots > 0 then begin
+    if path = Sim.Gate_by_gate && shots > 0 then begin
       let dense = Array.fold_left (fun k d -> if d then k + 1 else k) 0 densified in
       if dense < shots then Obs.count ~by:(shots - dense) "qc.noise.sparse_shots";
       if dense > 0 then Obs.count ~by:dense "qc.noise.densified_shots"
@@ -500,32 +457,25 @@ let success_probability counts target =
     {!run_shots} and reports, per basis state, the mean and standard
     deviation of the outcome frequency across runs — exactly the averaged
     histogram of the paper's Fig. 6 (3 runs × 1024 shots). Its tables are
-    dense, so it raises [Invalid_argument] past {!sparse_threshold}
+    dense, so it raises [Invalid_argument] past {!statistics_max_qubits}
     qubits. *)
 let runs_statistics ?(seed = 7) ?jobs params circuit ~shots ~runs =
   let n = Circuit.num_qubits circuit in
-  if n > sparse_threshold then
+  if n > statistics_max_qubits then
     invalid_arg
       (Printf.sprintf
          "noise.width: runs_statistics keeps dense 2^n frequency tables; %d qubits exceed \
           %d (the noisy backend's sparse histograms have no such limit)"
-         n sparse_threshold);
+         n statistics_max_qubits);
   let size = 1 lsl n in
   let freqs = Array.make_matrix runs size 0. in
   for r = 0 to runs - 1 do
     let counts = run_shots ~seed:(seed + (r * 7919)) ?jobs params circuit ~shots in
-    for x = 0 to size - 1 do
-      freqs.(r).(x) <- Float.of_int (count counts x) /. Float.of_int shots
-    done
+    List.iter
+      (fun (x, k) -> freqs.(r).(x) <- Float.of_int k /. Float.of_int shots)
+      (counts_to_alist counts)
   done;
-  let mean = Array.make size 0. and stddev = Array.make size 0. in
-  for x = 0 to size - 1 do
-    let m = Array.fold_left (fun acc row -> acc +. row.(x)) 0. freqs /. Float.of_int runs in
-    mean.(x) <- m;
-    let v =
-      Array.fold_left (fun acc row -> acc +. ((row.(x) -. m) ** 2.)) 0. freqs
-      /. Float.of_int runs
-    in
-    stddev.(x) <- sqrt v
-  done;
-  (mean, stddev)
+  (* the average over runs of [f row] *)
+  let avg f = Array.fold_left (fun acc row -> acc +. f row) 0. freqs /. Float.of_int runs in
+  let mean = Array.init size (fun x -> avg (fun row -> row.(x))) in
+  (mean, Array.init size (fun x -> sqrt (avg (fun row -> (row.(x) -. mean.(x)) ** 2.))))

@@ -215,10 +215,7 @@ let spec_cost = function
               (List.fold_left (fun acc tt -> acc + Logic.Truth_table.size tt) 0 fs)
   | Flow.Xag_spec g -> 50. +. (6. *. float_of_int (Rev.Xag.num_nodes g))
 
-let backend_family b =
-  match String.index_opt b ':' with
-  | None -> String.trim b
-  | Some i -> String.trim (String.sub b 0 i)
+let backend_family b = fst (Backend.split_spec b)
 
 let request_cost r =
   spec_cost r.spec
@@ -287,7 +284,7 @@ let execute_request ~cfg ~level ~leader_jid ~budget_us (req : request) =
     let family = backend_family req.backend in
     let family, shots =
       if level >= 2 then
-        if family = "statevector" && Qc.Stabilizer.is_clifford_circuit circuit
+        if family = "statevector" && Qc.Sim.clifford circuit
         then begin
           note "ladder: downgraded statevector to stabilizer";
           ("stabilizer", req.shots)

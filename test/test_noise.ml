@@ -99,45 +99,36 @@ let test_damping_preserves_norm () =
   done
 
 let test_counts_repr_boundary () =
-  (* exactly at sparse_threshold qubits the histogram is still dense;
-     merge and equality must work across the Dense/Sparse divide for
-     the same outcome space *)
-  let n = Noise.sparse_threshold in
-  let dense = Noise.counts_make n in
-  Alcotest.(check bool) "threshold width is dense" true
-    (match dense with Noise.Dense _ -> true | Noise.Sparse _ -> false);
-  Alcotest.(check bool) "one more qubit is sparse" true
-    (match Noise.counts_make (n + 1) with
-    | Noise.Sparse _ -> true
-    | Noise.Dense _ -> false);
-  (* a sparse histogram over the same 2^n outcome space *)
-  let sparse () = Noise.Sparse { size = 1 lsl n; tbl = Hashtbl.create 8 } in
+  (* at the widest runs_statistics width, merge and equality work
+     between histograms filled in different orders over the same
+     outcome space *)
+  let n = Noise.statistics_max_qubits in
   let fill c = List.iter (fun (x, k) -> Noise.counts_add c x k) in
   let content = [ (0, 3); (7, 2); ((1 lsl n) - 1, 5) ] in
-  let d = dense and s = sparse () in
+  let d = Noise.counts_make n and s = Noise.counts_make n in
   fill d content;
-  fill s content;
-  Alcotest.(check bool) "equal across representations" true (Noise.counts_equal d s);
+  fill s (List.rev content);
+  Alcotest.(check int) "size" (1 lsl n) (Noise.counts_size d);
+  Alcotest.(check bool) "equal whatever the fill order" true (Noise.counts_equal d s);
   Alcotest.(check bool) "equal is symmetric" true (Noise.counts_equal s d);
-  (* merge dense <- sparse *)
+  (* merge d2 <- s *)
   let d2 = Noise.counts_make n in
   fill d2 [ (7, 1) ];
   let m = Noise.counts_merge d2 s in
   Alcotest.(check int) "merged count" 3 (Noise.count m 7);
   Alcotest.(check int) "merged tail" 5 (Noise.count m ((1 lsl n) - 1));
   Alcotest.(check int) "merged total" 11 (Noise.total_counts m);
-  (* merge sparse <- dense *)
-  let s2 = sparse () in
+  (* merge s2 <- d *)
+  let s2 = Noise.counts_make n in
   fill s2 [ (0, 1) ];
   let m2 = Noise.counts_merge s2 d in
   Alcotest.(check int) "merged count" 4 (Noise.count m2 0);
   Alcotest.(check int) "merged total" 11 (Noise.total_counts m2);
-  (* alists agree regardless of representation *)
   Alcotest.(check (list (pair int int)))
-    "ascending alist across representations"
+    "ascending alist whatever the fill order"
     (Noise.counts_to_alist d) (Noise.counts_to_alist s);
   (* different outcome-space sizes never compare equal *)
-  let wider = Noise.Sparse { size = 1 lsl (n + 1); tbl = Hashtbl.create 8 } in
+  let wider = Noise.counts_make (n + 1) in
   fill wider content;
   Alcotest.(check bool) "size mismatch differs" false (Noise.counts_equal d wider)
 
@@ -381,7 +372,7 @@ let test_width_limits () =
   refused "run_shots past 62 qubits" (fun () ->
       Noise.run_shots Noise.ibm_qx2017 (wide 63) ~shots:1);
   refused "runs_statistics past the sparse threshold" (fun () ->
-      Noise.runs_statistics Noise.ibm_qx2017 (wide (Noise.sparse_threshold + 1)) ~shots:1 ~runs:1);
+      Noise.runs_statistics Noise.ibm_qx2017 (wide (Noise.statistics_max_qubits + 1)) ~shots:1 ~runs:1);
   (match (Backend.noisy Noise.ibm_qx2017).Backend.run (wide 63) with
   | _ -> Alcotest.fail "noisy backend accepted 63 qubits"
   | exception Backend.Unsupported msg ->
@@ -740,6 +731,30 @@ let test_sparse_width_cap () =
       Alcotest.(check int) "Clifford circuits still run" 4
         (Noise.total_counts (Noise.run_shots ~seed:1 Noise.ibm_qx2017 clifford ~shots:4)))
 
+(* --- Sim: the one path selector --- *)
+
+let test_sim_paths () =
+  let check name ok = Alcotest.(check bool) name true ok in
+  let t_circ = Circuit.of_gates 2 [ Gate.H 0; Gate.T 0; Gate.Cnot (0, 1) ] in
+  let path = Sim.noisy_path in
+  check "Clifford, gate noise: frames" (path ~gate_noise:true ~damping:false bell = Sim.Frames);
+  check "Clifford, readout only: frames" (path ~gate_noise:false ~damping:false bell = Sim.Frames);
+  check "Clifford, damping: gate by gate"
+    (path ~gate_noise:false ~damping:true bell = Sim.Gate_by_gate);
+  check "T gate, no gate noise: sampled" (path ~gate_noise:false ~damping:false t_circ = Sim.Sampled);
+  check "T gate, gate noise: gate by gate"
+    (path ~gate_noise:true ~damping:false t_circ = Sim.Gate_by_gate);
+  (* the tableau guard: a random branch reads 0, a T gate has no tableau *)
+  check "Bell pair on the tableau" (Sim.tableau bell = Some (0, false));
+  check "no tableau with a T gate" (Sim.tableau t_circ = None);
+  (* the noiseless state is sparse while its support stays small *)
+  let basis = Circuit.of_gates 12 [ Gate.X 11 ] in
+  let uniform = Circuit.of_gates 12 (List.init 12 (fun q -> Gate.H q)) in
+  check "basis state: sparse" (match Sim.state basis with Sim.Sparse _ -> true | _ -> false);
+  check "uniform state: dense" (match Sim.state uniform with Sim.Dense _ -> true | _ -> false);
+  check "basis state reads out certain" (Sim.readout (Sim.state basis) = (1 lsl 11, true));
+  check "uniform state reads out uncertain" (Sim.readout (Sim.state uniform) = (0, false))
+
 let () =
   Alcotest.run "noise"
     [ ( "noise",
@@ -775,4 +790,5 @@ let () =
           Alcotest.test_case "telemetry" `Quick test_sparse_telemetry;
           Alcotest.test_case "readout-only sparse sampler" `Quick test_sparse_sampler;
           Alcotest.test_case "readout-only Clifford" `Quick test_readout_only_clifford;
-          Alcotest.test_case "width cap" `Quick test_sparse_width_cap ] ) ]
+          Alcotest.test_case "width cap" `Quick test_sparse_width_cap ] );
+      ("sim", [ Alcotest.test_case "path choice" `Quick test_sim_paths ]) ]
