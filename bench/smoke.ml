@@ -130,6 +130,37 @@ let peephole _ =
   Printf.sprintf "MM 6+6 %d -> %d gates, simplify %.1fms" (Qc.Circuit.num_gates folded) gates
     (elapsed *. 1e3)
 
+(* T-par costs each region its own gates. On the seed-42 MM 6+6
+   lowering it keeps its pinned output and allocates a few minor words
+   per gate (Gc.minor_words is exact, so the ceiling is not a timing).
+   The 60-qubit inner product has 60 H barriers around regions of a gate
+   or two: resetting all 60 wires at every barrier costs about 1.2 ms a
+   call, 500 ms for the 400 calls timed here. *)
+let tpar _ =
+  let inst = Core.Hidden_shift.random_mm_instance (Random.State.make [| 42 |]) 6 in
+  let lowered, _ = Qc.Clifford_t.compile (Core.Hidden_shift.build inst) in
+  let w0 = Gc.minor_words () in
+  let folded = Qc.Tpar.optimize lowered in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Qc.Circuit.num_gates lowered) in
+  let gates = Qc.Circuit.num_gates folded and t = Qc.Circuit.t_count folded in
+  if gates <> 19168 || t <> 8586 then
+    fail "MM 6+6 folds to %d gates, T-count %d; want 19168, 8586" gates t;
+  if words > 8. then fail "T-par allocates %.1f minor words per gate (> 8 ceiling)" words;
+  let ip, _ =
+    Qc.Clifford_t.compile
+      (Core.Hidden_shift.build (Core.Hidden_shift.Inner_product { n = 30; s = 0x2b5d3a1c }))
+  in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 400 do
+    ignore (Sys.opaque_identity (Qc.Tpar.optimize ip))
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 0.1 then
+    fail "400 T-par calls on the 60-qubit inner product took %.0fms (> 100ms ceiling)"
+      (elapsed *. 1e3);
+  Printf.sprintf "MM 6+6 %d -> %d gates, T-count %d, %.1f words/gate; 60-qubit IP x400 %.1fms"
+    (Qc.Circuit.num_gates lowered) gates t words (elapsed *. 1e3)
+
 (* Bump every per-entry "t_count" value of snapshot a.json by 16, past
    any threshold, into regressed.json. The rollup object under the same
    key carries no bare number, so only the entry records change. *)
@@ -235,6 +266,10 @@ let cases =
     (* the one-pass peephole on a 15-qubit flow output: same gates, in
        milliseconds *)
     { name = "peephole"; steps = [ Do peephole ]; checks = []; ceiling = None };
+    (* T-par on a 15-qubit flow output and a 60-qubit, barrier-heavy
+       inner product: same gates, few allocations, no per-region
+       rebuild *)
+    { name = "tpar"; steps = [ Do tpar ]; checks = []; ceiling = None };
     (* --trace-out writes a valid, well-nested JSONL log, and the
        disabled telemetry path stays one branch *)
     { name = "trace";

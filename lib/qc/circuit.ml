@@ -9,10 +9,32 @@ let empty n =
   if n < 1 || n > 4096 then invalid_arg "Circuit.empty: bad qubit count";
   { n; len = 0; rev_gates = [] }
 
+let check_qubit n q = if q < 0 || q >= n then invalid_arg "Circuit: qubit out of range"
+
+let rec check_qubits n = function
+  | [] -> ()
+  | q :: qs ->
+      check_qubit n q;
+      check_qubits n qs
+
+(* every qubit of [g] within [c]: matches on the gate, so that checking
+   allocates nothing *)
 let check c g =
-  List.iter
-    (fun q -> if q < 0 || q >= c.n then invalid_arg "Circuit: qubit out of range")
-    (Gate.qubits g)
+  let n = c.n in
+  let open Gate in
+  match g with
+  | X q | Y q | Z q | H q | S q | Sdg q | T q | Tdg q | Rz (_, q) -> check_qubit n q
+  | Cnot (a, b) | Cz (a, b) | Swap (a, b) ->
+      check_qubit n a;
+      check_qubit n b
+  | Ccx (a, b, t) | Ccz (a, b, t) ->
+      check_qubit n a;
+      check_qubit n b;
+      check_qubit n t
+  | Mcx (cs, t) ->
+      check_qubits n cs;
+      check_qubit n t
+  | Mcz qs -> check_qubits n qs
 
 (** [add c g] appends [g]. *)
 let add c g =
@@ -37,35 +59,31 @@ let gates c = List.rev c.rev_gates
 let num_qubits c = c.n
 let num_gates c = c.len
 
+(** [to_array c] is the gates in application order as a fresh array.
+
+    The array is seeded with a constant gate, then filled. Past 256 gates
+    it is made in the major heap, where a seed fresh from the minor heap
+    (as [Array.of_list] would take the last gate) forces a minor
+    collection on the first walk over every freshly built circuit. *)
+let to_array c =
+  let a = Array.make c.len (Gate.X 0) in
+  let rec fill i = function
+    | [] -> ()
+    | g :: rest ->
+        Array.unsafe_set a i g;
+        fill (i - 1) rest
+  in
+  fill (c.len - 1) c.rev_gates;
+  a
+
 (** [iter f c] applies [f] to every gate in application order. Unlike
     [List.iter f (gates c)] this allocates a single scratch array instead
     of a reversed list — the form the hot simulator/export loops use. *)
-let iter f c =
-  let a = Array.of_list c.rev_gates in
-  for i = Array.length a - 1 downto 0 do
-    f (Array.unsafe_get a i)
-  done
+let iter f c = Array.iter f (to_array c)
 
 (** [fold f init c] folds over the gates in application order, with the
     same single-array allocation as {!iter}. *)
-let fold f init c =
-  let a = Array.of_list c.rev_gates in
-  let acc = ref init in
-  for i = Array.length a - 1 downto 0 do
-    acc := f !acc (Array.unsafe_get a i)
-  done;
-  !acc
-
-(** [to_array c] is the gates in application order as a fresh array. *)
-let to_array c =
-  let a = Array.of_list c.rev_gates in
-  let len = Array.length a in
-  for i = 0 to (len / 2) - 1 do
-    let tmp = a.(i) in
-    a.(i) <- a.(len - 1 - i);
-    a.(len - 1 - i) <- tmp
-  done;
-  a
+let fold f init c = Array.fold_left f init (to_array c)
 
 (** [append a b] runs [a] then [b]. *)
 let append a b =

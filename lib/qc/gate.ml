@@ -33,6 +33,22 @@ let adjoint = function
   | Rz (a, q) -> Rz (-.a, q)
   | g -> g
 
+(** [equal a b] is structural equality without the polymorphic
+    comparison: [Rz] angles compare with float [=], so a NaN angle equals
+    nothing, as under [Stdlib.( = )]. *)
+let equal a b =
+  match (a, b) with
+  | X p, X q | Y p, Y q | Z p, Z q | H p, H q | S p, S q | Sdg p, Sdg q | T p, T q
+  | Tdg p, Tdg q ->
+      p = q
+  | Rz (x, p), Rz (y, q) -> (x : float) = y && p = q
+  | Cnot (a, b), Cnot (c, d) | Cz (a, b), Cz (c, d) | Swap (a, b), Swap (c, d) ->
+      a = c && b = d
+  | Ccx (a, b, t), Ccx (c, d, u) | Ccz (a, b, t), Ccz (c, d, u) -> a = c && b = d && t = u
+  | Mcx (cs, t), Mcx (ds, u) -> t = u && List.equal Int.equal cs ds
+  | Mcz ps, Mcz qs -> List.equal Int.equal ps qs
+  | _ -> false
+
 (** [qubits g] lists the qubits the gate touches. *)
 let qubits = function
   | X q | Y q | Z q | H q | S q | Sdg q | T q | Tdg q | Rz (_, q) -> [ q ]

@@ -36,7 +36,7 @@ let target_of_phase = function
 (* Try to fuse gates a and b (adjacent after commuting); result is the
    replacement list, or None if not fusable. *)
 let fuse a b =
-  if a = adjoint b then Some []
+  if Gate.equal a (adjoint b) then Some []
   else
     match (target_of_phase a, target_of_phase b) with
     | Some qa, Some qb when qa = qb -> (
@@ -116,5 +116,5 @@ let simplify c =
         List.iter (arrive p) fused
   in
   Array.iteri arrive input;
-  Circuit.of_gates n
-    (Array.fold_right (fun s acc -> match s with Some g -> g :: acc | None -> acc) slots [])
+  Circuit.of_rev_gates n
+    (Array.fold_left (fun acc s -> match s with Some g -> g :: acc | None -> acc) [] slots)

@@ -90,6 +90,198 @@ let prop_idempotent_t_count =
       let once = Tpar.optimize c in
       Circuit.t_count (Tpar.optimize once) = Circuit.t_count once)
 
+(* The rebuild-every-region T-par [Tpar.optimize] replaced, kept as the
+   reference for the lazy version: at every barrier it resets all n wire
+   parities and re-adds the n input parities to a fresh table, then
+   emits each region's rotations from an array of insertion lists. *)
+type reference_pending = {
+  mutable eighths : int;
+  mutable angle : float;
+  position : int;
+  qubit : int;
+  neg_at_first : bool;
+}
+
+let reference_optimize c =
+  let open Gate in
+  let n = Circuit.num_qubits c in
+  let const_bit = 1 lsl n in
+  let out = ref [] in
+  let parity = Array.init n (fun q -> 1 lsl q) in
+  let skeleton = ref [] and skeleton_len = ref 0 in
+  let pend : (int, reference_pending) Hashtbl.t = Hashtbl.create 64 in
+  let order = ref [] in
+  let note_parity q =
+    let p = parity.(q) in
+    let linear = p land lnot const_bit in
+    if linear <> 0 && not (Hashtbl.mem pend linear) then begin
+      Hashtbl.add pend linear
+        { eighths = 0; angle = 0.; position = !skeleton_len; qubit = q;
+          neg_at_first = p land const_bit <> 0 };
+      order := linear :: !order
+    end
+  in
+  let reset_region () =
+    Array.iteri (fun q _ -> parity.(q) <- 1 lsl q) parity;
+    skeleton := [];
+    skeleton_len := 0;
+    Hashtbl.reset pend;
+    order := [];
+    Array.iteri (fun q _ -> note_parity q) parity
+  in
+  let flush () =
+    if Obs.enabled () && Hashtbl.length pend > 0 then begin
+      Obs.observe "qc.tpar.partition_size" (float_of_int (Hashtbl.length pend));
+      Obs.count "qc.tpar.regions"
+    end;
+    let inserts = Array.make (!skeleton_len + 1) [] in
+    List.iter
+      (fun linear ->
+        let p = Hashtbl.find pend linear in
+        let eighths = if p.neg_at_first then -p.eighths else p.eighths in
+        let angle = if p.neg_at_first then -.p.angle else p.angle in
+        let gs = Tpar.phase_gates_of ~eighths ~angle p.qubit in
+        if gs <> [] then inserts.(p.position) <- inserts.(p.position) @ gs)
+      (List.rev !order);
+    let skel = Array.of_list (List.rev !skeleton) in
+    for i = 0 to !skeleton_len do
+      List.iter (fun g -> out := g :: !out) inserts.(i);
+      if i < !skeleton_len then out := skel.(i) :: !out
+    done
+  in
+  let add_phase q ~eighths ~angle =
+    let p = parity.(q) in
+    let linear = p land lnot const_bit in
+    if linear <> 0 then begin
+      note_parity q;
+      let entry = Hashtbl.find pend linear in
+      let sign = if p land const_bit <> 0 then -1 else 1 in
+      entry.eighths <- entry.eighths + (sign * eighths);
+      entry.angle <- entry.angle +. (Float.of_int sign *. angle)
+    end
+  in
+  reset_region ();
+  Circuit.iter
+    (fun g ->
+      match g with
+      | Cnot (cq, t) ->
+          parity.(t) <- parity.(t) lxor parity.(cq);
+          skeleton := g :: !skeleton;
+          incr skeleton_len;
+          note_parity t
+      | X q ->
+          parity.(q) <- parity.(q) lxor const_bit;
+          skeleton := g :: !skeleton;
+          incr skeleton_len;
+          note_parity q
+      | Z q -> add_phase q ~eighths:4 ~angle:0.
+      | S q -> add_phase q ~eighths:2 ~angle:0.
+      | Sdg q -> add_phase q ~eighths:(-2) ~angle:0.
+      | T q -> add_phase q ~eighths:1 ~angle:0.
+      | Tdg q -> add_phase q ~eighths:(-1) ~angle:0.
+      | Rz (a, q) -> add_phase q ~eighths:0 ~angle:a
+      | Cz _ | Ccz _ | Mcz _ ->
+          skeleton := g :: !skeleton;
+          incr skeleton_len
+      | g ->
+          flush ();
+          out := g :: !out;
+          reset_region ())
+    c;
+  flush ();
+  Circuit.of_rev_gates n !out
+
+let test_input_parities_in_qubit_order () =
+  (* rotations on the input parities of qubits 3 then 1 come out at the
+     region's start in qubit order, before the CNOT they met after *)
+  let c = Circuit.of_gates 4 [ Gate.Cnot (0, 2); Gate.T 3; Gate.S 1; Gate.H 0; Gate.T 0 ] in
+  let expected = [ Gate.S 1; Gate.T 3; Gate.Cnot (0, 2); Gate.H 0; Gate.T 0 ] in
+  Alcotest.(check bool) "reference" true (Circuit.gates (reference_optimize c) = expected);
+  Alcotest.(check bool) "lazy" true (Circuit.gates (Tpar.optimize c) = expected)
+
+(* the partition sizes and region count T-par records *)
+let tpar_telemetry optimize c =
+  let m = Obs.Memory.create () in
+  Obs.set_sink (Some (Obs.Memory.sink m));
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () -> ignore (optimize c));
+  let events = Obs.Memory.events m in
+  ( Obs.Summary.sample_values events "qc.tpar.partition_size",
+    List.length
+      (List.filter
+         (function Obs.Counter { name = "qc.tpar.regions"; _ } -> true | _ -> false)
+         events) )
+
+(* Random circuits on 1 to 61 qubits over every gate kind: the barriers
+   H, Y, Swap, Ccx and Mcx, the region gates CNOT, X and the phases
+   (Rz angles drawn so that sums cancel, exactly or to a few ulps), and
+   the pass-through Cz, Ccz and Mcz. Most gates act on a few hot qubits,
+   so that parities meet again. *)
+let tpar_input_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 61 in
+  let* hot = int_bound (n - 1) in
+  let qubit =
+    let* local = int_bound 3 in
+    if local > 0 then map (fun d -> (hot + d) mod n) (int_bound (min n 5 - 1))
+    else int_bound (n - 1)
+  in
+  (* up to [k] distinct qubits, in random order *)
+  let qubits k =
+    let distinct = List.fold_left (fun acc q -> if List.mem q acc then acc else q :: acc) [] in
+    map distinct (list_size (return k) qubit)
+  in
+  let gate =
+    let* q = qubit in
+    let* qs = qubits 4 in
+    let pair f g = match qs with a :: b :: _ -> return (f a b) | _ -> return (g q) in
+    let triple f g = match qs with a :: b :: t :: _ -> return (f a b t) | _ -> g in
+    let* kind = int_bound 23 in
+    match kind with
+    | 0 | 1 | 2 | 3 | 4 -> pair (fun a b -> Gate.Cnot (a, b)) (fun q -> Gate.X q)
+    | 5 | 6 | 7 -> return (Gate.T q)
+    | 8 | 9 -> return (Gate.Tdg q)
+    | 10 -> return (Gate.S q)
+    | 11 -> return (Gate.Sdg q)
+    | 12 -> return (Gate.Z q)
+    | 13 | 14 -> return (Gate.X q)
+    | 15 | 16 ->
+        map (fun a -> Gate.Rz (a, q)) (oneofl [ 0.25; -0.25; 0.5; -0.75; 0.1; -0.3 ])
+    | 17 -> pair (fun a b -> Gate.Cz (a, b)) (fun q -> Gate.Z q)
+    | 18 -> triple (fun a b t -> Gate.Ccz (a, b, t)) (return (Gate.Mcz qs))
+    | 19 -> return (Gate.Mcz qs)
+    | 20 -> oneofl [ Gate.H q; Gate.Y q ]
+    | 21 -> pair (fun a b -> Gate.Swap (a, b)) (fun q -> Gate.H q)
+    | 22 -> triple (fun a b t -> Gate.Ccx (a, b, t)) (return (Gate.Y q))
+    | _ -> (
+        match List.rev qs with
+        | t :: (_ :: _ as cs) -> return (Gate.Mcx (cs, t))
+        | _ -> return (Gate.H q))
+  in
+  let* len = int_range 0 90 in
+  map (Circuit.of_gates n) (list_size (return len) gate)
+
+let prop_tpar_matches_reference =
+  Helpers.prop "tpar = reference, random circuits on 1..61 qubits" ~count:500 tpar_input_gen
+    (fun c -> Circuit.gates (Tpar.optimize c) = Circuit.gates (reference_optimize c))
+
+let prop_tpar_telemetry_matches_reference =
+  Helpers.prop "tpar telemetry = reference" ~count:100 tpar_input_gen (fun c ->
+      tpar_telemetry Tpar.optimize c = tpar_telemetry reference_optimize c)
+
+let lowered_gen ~rccx_ladder =
+  QCheck2.Gen.map
+    (fun rc ->
+      let options = { Clifford_t.default_options with rccx_ladder } in
+      fst (Clifford_t.compile ~options (Clifford_t.of_rcircuit rc)))
+    (Helpers.rcircuit_gen 5 12)
+
+let prop_tpar_lowered_matches_reference ~rccx_ladder =
+  Helpers.prop
+    (Printf.sprintf "tpar = reference, %s lowered MCT cascades"
+       (if rccx_ladder then "RCCX" else "7-T"))
+    ~count:150 (lowered_gen ~rccx_ladder)
+    (fun c -> Circuit.gates (Tpar.optimize c) = Circuit.gates (reference_optimize c))
+
 (* ---- peephole Opt ---- *)
 
 (* The restart-from-zero fixpoint [Opt.simplify] replaced, kept as the
@@ -197,12 +389,7 @@ let prop_opt_never_grows =
       Circuit.num_gates (Opt.simplify c) <= Circuit.num_gates c)
 
 (* T-par output of a random MCT cascade lowered to Clifford+T *)
-let lowered_tpar_gen ~rccx_ladder =
-  QCheck2.Gen.map
-    (fun rc ->
-      let options = { Clifford_t.default_options with rccx_ladder } in
-      Tpar.optimize (fst (Clifford_t.compile ~options (Clifford_t.of_rcircuit rc))))
-    (Helpers.rcircuit_gen 5 12)
+let lowered_tpar_gen ~rccx_ladder = QCheck2.Gen.map Tpar.optimize (lowered_gen ~rccx_ladder)
 
 let prop_opt_matches_reference ~rccx_ladder =
   Helpers.prop
@@ -235,7 +422,13 @@ let () =
           Alcotest.test_case "report" `Quick test_report_counts;
           prop_preserves_unitary;
           prop_never_increases_t;
-          prop_idempotent_t_count ] );
+          prop_idempotent_t_count;
+          Alcotest.test_case "input parities in qubit order" `Quick
+            test_input_parities_in_qubit_order;
+          prop_tpar_matches_reference;
+          prop_tpar_telemetry_matches_reference;
+          prop_tpar_lowered_matches_reference ~rccx_ladder:true;
+          prop_tpar_lowered_matches_reference ~rccx_ladder:false ] );
       ( "opt",
         [ Alcotest.test_case "cancellation" `Quick test_opt_cancellation;
           Alcotest.test_case "fusion" `Quick test_opt_fusion;
