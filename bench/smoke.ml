@@ -161,6 +161,42 @@ let tpar _ =
   Printf.sprintf "MM 6+6 %d -> %d gates, T-count %d, %.1f words/gate; 60-qubit IP x400 %.1fms"
     (Qc.Circuit.num_gates lowered) gates t words (elapsed *. 1e3)
 
+(* A dense run ends in sampling from a strided table, not a 2^n one:
+   building the sampler of a 20-qubit H-layer state allocates under
+   2^n/16 words (Gc.allocated_bytes is exact, so the ceiling is not a
+   timing; the full table was 2^n words). The run itself starts at the
+   H layer, bit for bit what init + Plan.execute of the plan leaves. *)
+let sampler _ =
+  let open Qc in
+  let n = 20 in
+  let c =
+    Circuit.of_gates n
+      (List.init n (fun q -> Gate.H q)
+      @ List.init (n - 1) (fun q -> Gate.Cnot (q, q + 1))
+      @ [ Gate.T 0; Gate.H 0; Gate.S 7; Gate.H 19 ])
+  in
+  let s = Statevector.run c in
+  let reference = Statevector.init n in
+  Statevector.Plan.execute (Statevector.Plan.build c) reference;
+  let bits x = Int64.bits_of_float x in
+  for x = 0 to Statevector.size s - 1 do
+    let a = Statevector.amplitude s x and b = Statevector.amplitude reference x in
+    if bits a.re <> bits b.re || bits a.im <> bits b.im then
+      fail "run differs from init + Plan.execute at amplitude %d" x
+  done;
+  let b0 = Gc.allocated_bytes () in
+  let smp = Statevector.sampler s in
+  let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  let ceiling = (1 lsl n) / 16 in
+  if words > float_of_int ceiling then
+    fail "the 20-qubit sampler allocates %.0f words (> %d ceiling)" words ceiling;
+  let st = Random.State.make [| 5 |] in
+  for _ = 1 to 256 do
+    let x = Statevector.sample_with smp st in
+    if Statevector.prob s x = 0. then fail "drew %d, an outcome of probability 0" x
+  done;
+  Printf.sprintf "20-qubit run = init + execute, sampler %.0f words (ceiling %d)" words ceiling
+
 (* Bump every per-entry "t_count" value of snapshot a.json by 16, past
    any threshold, into regressed.json. The rollup object under the same
    key carries no bare number, so only the entry records change. *)
@@ -270,6 +306,9 @@ let cases =
        inner product: same gates, few allocations, no per-region
        rebuild *)
     { name = "tpar"; steps = [ Do tpar ]; checks = []; ceiling = None };
+    (* a dense run starts at its first H layer and samples from a
+       strided table: same amplitudes, no 2^n allocation *)
+    { name = "sampler"; steps = [ Do sampler ]; checks = []; ceiling = None };
     (* --trace-out writes a valid, well-nested JSONL log, and the
        disabled telemetry path stays one branch *)
     { name = "trace";

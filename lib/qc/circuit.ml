@@ -41,7 +41,18 @@ let add c g =
   check c g;
   { c with len = c.len + 1; rev_gates = g :: c.rev_gates }
 
-let add_list c gs = List.fold_left add c gs
+(** [add_list c gs] appends [gs] in order, as folding {!add} would:
+    each gate checked once, then one record. *)
+let add_list c gs =
+  let rec count k = function
+    | [] -> k
+    | g :: rest ->
+        check c g;
+        count (k + 1) rest
+  in
+  let k = count 0 gs in
+  { c with len = c.len + k; rev_gates = List.rev_append gs c.rev_gates }
+
 let of_gates n gs = add_list (empty n) gs
 
 (** [of_rev_gates n gs] builds a circuit from a {e reversed} gate list

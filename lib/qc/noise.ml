@@ -332,13 +332,14 @@ let run_frame_shot st params smp gates qubits n =
 
 (* One-slot memo for the noiseless fast path: [runs_statistics], device
    retries and repeated shell/CLI invocations re-sample the same compiled
-   circuit, and the simulated state plus its CDF are pure functions of
-   that circuit. The statevector's plan cache already makes the
+   circuit, and the simulated state plus its sampler are pure functions
+   of that circuit. The statevector's plan cache already makes the
    re-simulation itself cheap — this skips the whole simulation and
-   CDF rebuild. A dense CDF shares the state's slab layout, so the
-   memo never pins a single contiguous 2^n array on wide sharded runs,
-   and draws are bit-identical for any shard-bits setting. Main-domain
-   only (like Obs); workers never call run_shots. *)
+   sampler rebuild. A dense sampler holds its state (which nothing else
+   sees, so it never changes under the sampler) and only every 64th
+   running sum, so the memo never pins a single contiguous 2^n array on
+   wide sharded runs, and draws are bit-identical for any shard-bits
+   setting. Main-domain only (like Obs); workers never call run_shots. *)
 let sampler_memo : (string * Sim.sampler) option ref = ref None
 
 let sampler_for circuit =

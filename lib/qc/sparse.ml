@@ -297,10 +297,10 @@ let sample st s =
   !out
 
 (** A cumulative distribution over the support, for many draws from one
-    state: the entries of {!Statevector.sampler}'s table at the support
-    indices, ascending. The dense table adds an exact zero at every other
-    index, which leaves each running sum unchanged, so both tables hold
-    the same values there; the sums follow the dense order (one running
+    state: the running sums of {!Statevector.sampler} ({!Statevector.cdf_at})
+    at the support indices, ascending. The dense sums add an exact zero
+    at every other index, which leaves each running sum unchanged, so
+    both hold the same values there; the sums follow the dense order (one running
     sum, or above {!Statevector.par_threshold} amplitudes one per fixed
     block, offset by the sum of the blocks before it). *)
 type sampler = { width : int; keys : int array; cdf : float array }

@@ -17,10 +17,14 @@
 
     This file owns what sits above the kernels: the LRU plan cache
     (capacity via [DAUTOQ_PLAN_CACHE]), the [run]/[run_on] entry points
-    with their telemetry, and measurement (sampling, CDF construction,
-    state comparisons). A circuit runs one of two ways: as a cached plan
-    (the default), or gate by gate ([~fuse:false], the unfused
-    reference, and every state narrower than {!fuse_min_qubits}).
+    with their telemetry, and measurement (sampling from a strided
+    table of running sums, state comparisons). A circuit runs one of two
+    ways: as a cached plan (the default), or gate by gate
+    ([~fuse:false], the unfused reference, and every state narrower than
+    {!fuse_min_qubits}). Both ends of a planned [run] cost what they
+    must: it allocates its state already past the plan's leading
+    Hadamard layer, and a {!sampler} keeps every 64th running sum
+    rather than a [2^n] table.
 
     Determinism contract (PR 3/PR 8, extended to shards): for a fixed
     circuit and seed, amplitudes, sampler draws and histograms are
@@ -122,40 +126,64 @@ let plan_of_circuit circuit =
       Mutex.unlock plan_mutex;
       p
 
-(* Shared by run/run_on: plan replay (default), the unfused reference
-   (~fuse:false, and every state below fuse_min_qubits), and the
-   telemetry both entry points must emit — [run_on] used to bypass it,
+(* Telemetry both entry points emit ([run_on] used to bypass it,
    under-counting qc.statevector.gates_applied for engine-driven
-   simulation. *)
-let exec ~fuse s circuit =
-  if fuse && s.n >= fuse_min_qubits then begin
-    let p = plan_of_circuit circuit in
-    Plan.execute p s;
-    if Obs.enabled () then
-      Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
-  end
-  else Circuit.iter (apply s) circuit;
+   simulation). *)
+let count_gates s circuit =
   if Obs.enabled () then begin
     Obs.count ~by:(Circuit.num_gates circuit) "qc.statevector.gates_applied";
     Obs.add_attrs [ ("qubits", Obs.Int s.n) ]
   end
 
+(* Plan replay from kernel [start] on. *)
+let replay p s start =
+  Plan.execute_from p s start;
+  if Obs.enabled () then
+    Obs.count ~by:(Array.length p.Plan.ops) "qc.statevector.fused_ops"
+
 (** [run ?fuse circuit] simulates [circuit] from |0…0⟩. [fuse] (default
     true) replays the circuit's cached kernel plan on states of
     ≥ {!fuse_min_qubits} qubits; [~fuse:false] applies the gates one by
     one. The two agree up to float rounding (≤ 1e-12 per amplitude in
-    practice). *)
+    practice).
+
+    A planned run starts at the plan's first Hadamard layer: the
+    leading kernels {!Plan.hadamard_prefix} names are not replayed, the
+    state is allocated holding what they leave ({!init_cube}), bit for
+    bit the same as {!init} followed by {!Plan.execute}. *)
 let run ?(fuse = true) circuit =
   Obs.with_span "qc.statevector.run" @@ fun () ->
-  let s = init (Circuit.num_qubits circuit) in
-  exec ~fuse s circuit;
+  let n = Circuit.num_qubits circuit in
+  let s =
+    if fuse && n >= fuse_min_qubits then begin
+      check_width n;
+      let p = plan_of_circuit circuit in
+      let start, mask, rounds = Plan.hadamard_prefix p in
+      let v = ref 1. in
+      for _ = 1 to rounds do
+        v := sqrt2inv *. !v
+      done;
+      let s = init_cube n ~mask !v in
+      replay p s start;
+      s
+    end
+    else begin
+      let s = init n in
+      Circuit.iter (apply s) circuit;
+      s
+    end
+  in
+  count_gates s circuit;
   s
 
 (** [run_on ?fuse s circuit] applies [circuit] to an existing state in
     place, with the same span and counters as {!run}. *)
 let run_on ?(fuse = true) s circuit =
   if Circuit.num_qubits circuit <> s.n then invalid_arg "Statevector.run_on";
-  Obs.with_span "qc.statevector.run" @@ fun () -> exec ~fuse s circuit
+  Obs.with_span "qc.statevector.run" @@ fun () ->
+  if fuse && s.n >= fuse_min_qubits then replay (plan_of_circuit circuit) s 0
+  else Circuit.iter (apply s) circuit;
+  count_gates s circuit
 
 (** [probabilities s] is the outcome distribution over basis states.
     Materializes all [2^n] floats — callers that only need a few entries
@@ -164,69 +192,133 @@ let probabilities s = Array.init (size s) (prob s)
 
 (* --- measurement sampling --- *)
 
-(** A precomputed cumulative distribution for repeated sampling from one
-    state: build once ([O(2^n)]), then each draw is a binary search
-    ([O(n)]) instead of a linear scan — the shape a multi-shot noiseless
-    sampling loop wants. The CDF mirrors the state's slab layout so a
-    26-qubit sampler never asks for a single contiguous GB. *)
-type sampler = { sb : int; smask : int; cdf : float array array }
+(* log2 of the sampler's stride: it keeps every 64th running sum *)
+let stride_bits = 6
 
-(* CDF fill over global range [lo, hi) starting from a known running
-   total: one accumulator walks the slab pieces in ascending global
-   order, so the summation order is the same for every slab size. *)
-let seg_cdf s (cdf : float array array) off lo hi =
+(** A strided cumulative distribution for repeated sampling from one
+    state: build once ([O(2^n)]), then each draw is a binary search over
+    every 64th running sum and a rescan of at most 64 amplitudes. The
+    table is [2^(n-6)] floats plus the running sum before each reduce
+    block; the sums in between are read again from the state, so the
+    state must not change while its sampler is in use. *)
+type sampler = {
+  state : t;
+  sbits : int; (* log2 stride: stride_bits, or n on narrower states *)
+  ends : float array; (* ends.(j): running sum through index (j+1)·2^sbits − 1 *)
+  bbits : int; (* log2 reduce-block width: n when the sum is one run *)
+  boffs : float array; (* boffs.(i): running sum before block i *)
+}
+
+(* Running sum over global range [lo, hi), a multiple of the stride,
+   from a known total: one accumulator walks the slab pieces in
+   ascending global order (the summation order is the same for every
+   slab size), and the sum at each stride's last index lands in [ends]. *)
+let seg_ends s (ends : float array) sbits off lo hi =
   let acc = [| off |] in
-  iter_pieces s lo hi (fun sl _base lo_l hi_l ->
+  let last = (1 lsl sbits) - 1 in
+  iter_pieces s lo hi (fun sl base lo_l hi_l ->
       let re = s.sl_re.(sl) and im = s.sl_im.(sl) in
-      let c = cdf.(sl) in
+      let a = ref acc.(0) in
       for x = lo_l to hi_l - 1 do
-        acc.(0) <-
-          acc.(0)
+        a :=
+          !a
           +. (Array.unsafe_get re x *. Array.unsafe_get re x)
           +. (Array.unsafe_get im x *. Array.unsafe_get im x);
-        Array.unsafe_set c x acc.(0)
-      done)
+        let gx = base lor x in
+        if gx land last = last then Array.unsafe_set ends (gx lsr sbits) !a
+      done;
+      acc.(0) <- !a)
 
-(** [sampler s] precomputes the cumulative distribution of [s]. Large
-    states build it in parallel with the same fixed-block determinism as
-    {!norm2}: per-block totals, a sequential exclusive prefix over the
-    (fixed-count) blocks, then a parallel fill of each block from its
-    offset — bit-identical at any [--jobs] and any shard layout. *)
+(** [sampler s] precomputes the strided cumulative distribution of [s].
+    Large states build it in parallel with the same fixed-block
+    determinism as {!norm2}: per-block totals, a sequential exclusive
+    prefix over the (fixed-count) blocks, then a parallel pass over each
+    block from its offset — bit-identical at any [--jobs] and any shard
+    layout. A stride never crosses a block, so the sums within one rise
+    monotonically. *)
 let sampler s =
   let sz = size s in
-  let cdf =
-    Array.init (slab_count s) (fun _ -> Array.make (slab_size s) 0.)
-  in
-  if sz <= par_threshold then seg_cdf s cdf 0. 0 sz
+  let sbits = min stride_bits s.n in
+  let ends = Array.create_float (sz lsr sbits) in
+  if sz <= par_threshold then begin
+    seg_ends s ends sbits 0. 0 sz;
+    { state = s; sbits; ends; bbits = s.n; boffs = [| 0. |] }
+  end
   else begin
     let k = reduce_blocks in
     let parts =
       Par.map_floats (Par.global ()) ~tasks:k (fun i ->
           seg_sum2 s (sz * i / k) (sz * (i + 1) / k))
     in
-    let offs = Array.make k 0. in
+    let boffs = Array.make k 0. in
     for i = 1 to k - 1 do
-      offs.(i) <- offs.(i - 1) +. parts.(i - 1)
+      boffs.(i) <- boffs.(i - 1) +. parts.(i - 1)
     done;
     Par.run_tasks (Par.global ())
       (Array.init k (fun i () ->
-           seg_cdf s cdf offs.(i) (sz * i / k) (sz * (i + 1) / k)))
-  end;
-  { sb = s.sb; smask = s.smask; cdf }
+           seg_ends s ends sbits boffs.(i) (sz * i / k) (sz * (i + 1) / k)));
+    { state = s; sbits; ends; bbits = ceil_log2 (sz / k); boffs }
+  end
 
-(** [sample_with smp st] draws one outcome: the first basis state whose
-    cumulative probability exceeds the uniform draw — bit-identical to
-    the linear scan of {!sample}, in [O(n)] per shot. *)
-let sample_with smp st =
-  let r = Random.State.float st 1. in
-  let get x = smp.cdf.(x lsr smp.sb).(x land smp.smask) in
-  let sz = Array.length smp.cdf * (smp.smask + 1) in
-  let lo = ref 0 and hi = ref (sz - 1) in
+(* The running sum before stride [j]: its block's offset at a block
+   start, else the end of stride [j - 1]. *)
+let stride_start smp j =
+  let x0 = j lsl smp.sbits in
+  if x0 land ((1 lsl smp.bbits) - 1) = 0 then smp.boffs.(x0 lsr smp.bbits)
+  else smp.ends.(j - 1)
+
+(** [cdf_at smp x] is the running sum of the probabilities through basis
+    state [x], as the sampler sums them (the entry a full [2^n] table
+    would hold at [x]). *)
+let cdf_at smp x =
+  let s = smp.state and j = x lsr smp.sbits in
+  let acc = ref (stride_start smp j) in
+  for y = j lsl smp.sbits to x do
+    let r = get_re s y and i = get_im s y in
+    acc := !acc +. (r *. r) +. (i *. i)
+  done;
+  !acc
+
+(** [sample_at smp r] is the outcome for the uniform value [r]: the
+    first basis state whose cumulative probability exceeds [r], or the
+    last one — in [O(n)] plus a rescan of one stride.
+
+    It is what a binary search over the full [2^n] table returns: with
+    [lo = 0] and [hi = 2^n − 1] that search probes only indices
+    ≡ −1 (mod 64), the entries of [ends], until its interval is one
+    stride wide, and within the stride the sums rise monotonically, so
+    the first one past [r] is the search's answer. *)
+let sample_at smp r =
+  let ends = smp.ends in
+  let lo = ref 0 and hi = ref (Array.length ends - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if get mid > r then hi := mid else lo := mid + 1
+    if Array.unsafe_get ends mid > r then hi := mid else lo := mid + 1
   done;
-  !lo
+  let s = smp.state in
+  let x = ref (!lo lsl smp.sbits) in
+  let last = !x + (1 lsl smp.sbits) - 1 in
+  (* the rescan reads the slab arrays directly, moving to the next slab
+     only when a stride is wider than a slab *)
+  let re = ref s.sl_re.(!x lsr s.sb) and im = ref s.sl_im.(!x lsr s.sb) in
+  let l = ref (!x land s.smask) in
+  let a = Array.unsafe_get !re !l and b = Array.unsafe_get !im !l in
+  let acc = ref (stride_start smp !lo +. (a *. a) +. (b *. b)) in
+  while !x < last && not (!acc > r) do
+    incr x;
+    l := !x land s.smask;
+    if !l = 0 then begin
+      re := s.sl_re.(!x lsr s.sb);
+      im := s.sl_im.(!x lsr s.sb)
+    end;
+    let a = Array.unsafe_get !re !l and b = Array.unsafe_get !im !l in
+    acc := !acc +. (a *. a) +. (b *. b)
+  done;
+  !x
+
+(** [sample_with smp st] draws one outcome with PRNG state [st]: the
+    {!sample_at} of its next uniform float. *)
+let sample_with smp st = sample_at smp (Random.State.float st 1.)
 
 (** [sample st s] draws one measurement outcome of all qubits using PRNG
     state [st]. One-shot form; for many draws from the same state build a

@@ -1407,20 +1407,45 @@ let kernel_local s = function
       bits_local s bits
   | K_perm_full _ -> false
 
-(** [execute p s] replays the schedule on [s] in place. On sharded
-    states it also counts slab-local vs cross-slab kernels and the
-    number of exchange rounds (maximal runs of consecutive cross-slab
-    kernels) into the [sv.shard.*] counters. *)
-let execute p s =
+(** [hadamard_prefix p] is [(start, mask, rounds)] for the plan's
+    leading Hadamard kernels that carry no pre-sweep and touch disjoint
+    qubits: [start] kernels, on the qubits of [mask], [rounds] of them.
+    From |0…0⟩ every butterfly of those kernels has a zero partner, so
+    each round maps a value v to [sqrt2inv *. v] on the cube of [mask]
+    and leaves +0.0 elsewhere: the kernels' output is the state
+    [Sv_shard.init_cube] builds, bit for bit. *)
+let hadamard_prefix p =
+  let rec go i mask rounds =
+    if i = Array.length p.ops then (i, mask, rounds)
+    else
+      match p.ops.(i) with
+      | K_had { pre = None; bits; _ } ->
+          let m = Array.fold_left (fun m b -> m lor (1 lsl b)) 0 bits in
+          if m land mask = 0 then go (i + 1) (mask lor m) (rounds + Array.length bits)
+          else (i, mask, rounds)
+      | _ -> (i, mask, rounds)
+  in
+  go 0 0 0
+
+(** [execute_from p s start] replays the schedule from kernel [start]
+    on in place: the state is what the first [start] kernels would have
+    left. On sharded states it also counts slab-local vs cross-slab
+    kernels and the number of exchange rounds (maximal runs of
+    consecutive cross-slab kernels) into the [sv.shard.*] counters,
+    over the whole schedule, so the totals do not depend on [start]. *)
+let execute_from p s start =
   if p.n <> num_qubits s then
     invalid_arg "Statevector.Plan.execute: qubit mismatch";
   let scratch = ref None in
-  if not (sharded s) then Array.iter (exec_kernel s scratch) p.ops
+  if not (sharded s) then
+    for i = start to Array.length p.ops - 1 do
+      exec_kernel s scratch p.ops.(i)
+    done
   else begin
     let locals = ref 0 and exch = ref 0 and rounds = ref 0 in
     let in_exchange = ref false in
-    Array.iter
-      (fun k ->
+    Array.iteri
+      (fun i k ->
         (if kernel_local s k then begin
            incr locals;
            in_exchange := false
@@ -1432,7 +1457,7 @@ let execute p s =
              in_exchange := true
            end
          end);
-        exec_kernel s scratch k)
+        if i >= start then exec_kernel s scratch k)
       p.ops;
     if Obs.enabled () then begin
       if !locals > 0 then Obs.count ~by:!locals "sv.shard.local_blocks";
@@ -1440,6 +1465,9 @@ let execute p s =
       if !rounds > 0 then Obs.count ~by:!rounds "sv.shard.exchange_rounds"
     end
   end
+
+(** [execute p s] replays the whole schedule on [s] in place. *)
+let execute p s = execute_from p s 0
 
 type stats = {
   ops : int;

@@ -121,21 +121,42 @@ let check_width n =
              sparse histograms for wider runs"
             n n cap))
 
-(** [init n] is |0…0⟩, sharded per {!slab_bits_for}. Raises {!Unsupported}
+(** [init_cube n ~mask v] is the state holding [v] at every basis index
+    whose set bits all lie in [mask] and +0.0 everywhere else (all of the
+    imaginary parts too), sharded per {!slab_bits_for}: Hadamards on the
+    qubits of [mask] applied to |0…0⟩, when [v] is what their rounds
+    leave. Each slab is allocated already filled. Raises {!Unsupported}
     past {!max_qubits} ({!check_width}). *)
-let init n =
+let init_cube n ~mask v =
   if n < 1 then invalid_arg "Statevector.init: bad qubit count";
   check_width n;
   let sb = slab_bits_for n in
   let slabs = 1 lsl (n - sb) and slab_size = 1 lsl sb in
-  let s =
-    { n; sb; smask = slab_size - 1;
-      sl_re = alloc_slabs ~slabs ~slab_size;
-      sl_im = alloc_slabs ~slabs ~slab_size }
+  let smask = slab_size - 1 in
+  let lmask = mask land smask in
+  let slab sl =
+    if (sl lsl sb) land lnot mask <> 0 then Array.make slab_size 0.
+    else if lmask = smask then Array.make slab_size v
+    else begin
+      (* the submasks of [lmask], counted down to 0 *)
+      let a = Array.make slab_size 0. in
+      let x = ref lmask in
+      a.(0) <- v;
+      while !x <> 0 do
+        a.(!x) <- v;
+        x := (!x - 1) land lmask
+      done;
+      a
+    end
   in
-  s.sl_re.(0).(0) <- 1.;
+  let s =
+    { n; sb; smask; sl_re = Array.init slabs slab; sl_im = alloc_slabs ~slabs ~slab_size }
+  in
   if slabs > 1 && Obs.enabled () then Obs.count ~by:slabs "sv.shard.slabs";
   s
+
+(** [init n] is |0…0⟩ ({!init_cube} with an empty mask). *)
+let init n = init_cube n ~mask:0 1.
 
 (* All-zero flat scratch state (single slab regardless of the override):
    the plan builder simulates tiny basis columns on these. *)

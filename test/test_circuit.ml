@@ -115,6 +115,31 @@ let prop_depth_bounds =
   Helpers.prop "t_depth <= depth <= gate count" (Helpers.qcircuit_gen 3 15) (fun c ->
       Circuit.t_depth c <= Circuit.depth c && Circuit.depth c <= Circuit.num_gates c)
 
+(* [add_list] / [of_gates] agree with folding [add], the way they were
+   built before they checked each gate once and built one record *)
+let reference_add_list c gs = List.fold_left Circuit.add c gs
+
+let prop_add_list =
+  Helpers.prop "add_list = fold add"
+    QCheck2.Gen.(pair (Helpers.qcircuit_gen 4 6) (Helpers.qcircuit_gen 4 20))
+    (fun (c, more) ->
+      let gs = Circuit.gates more in
+      Circuit.add_list c gs = reference_add_list c gs
+      && Circuit.of_gates 4 gs = reference_add_list (Circuit.empty 4) gs)
+
+let test_add_list_checks () =
+  (match Circuit.add_list (Circuit.empty 2) [ Gate.H 0; Gate.Cnot (1, 2) ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out of range accepted");
+  (* one cons cell per gate (3 words), not a circuit record per gate *)
+  let gs = List.init 10_000 (fun i -> Gate.T (i mod 3)) in
+  let w0 = Gc.minor_words () in
+  let c = Circuit.of_gates 3 gs in
+  let words = (Gc.minor_words () -. w0) /. 10_000. in
+  Alcotest.(check int) "length" 10_000 (Circuit.num_gates c);
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per gate <= 4" words) true
+    (words <= 4.)
+
 let () =
   Alcotest.run "circuit"
     [ ( "gate",
@@ -127,6 +152,8 @@ let () =
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "t-depth" `Quick test_t_depth;
           Alcotest.test_case "map_qubits" `Quick test_map_qubits;
+          Alcotest.test_case "add_list checks, one list" `Quick test_add_list_checks;
+          prop_add_list;
           prop_dagger_involutive;
           prop_depth_bounds ] );
       ( "resource",

@@ -675,9 +675,7 @@ let test_sparse_sampler () =
       | Some s ->
           incr sparse_cases;
           let sp = Sparse.sampler s in
-          let at (d : Statevector.sampler) x =
-            d.Statevector.cdf.(x lsr d.Statevector.sb).(x land d.Statevector.smask)
-          in
+          let at = Statevector.cdf_at in
           let unfused = Statevector.sampler (Statevector.run ~fuse:false c) in
           Array.iteri
             (fun k x ->

@@ -512,6 +512,113 @@ let test_reduction_determinism () =
       (Statevector.sample_with smp4 (Helpers.rng seed))
   done
 
+(* --- the strided sampler draws what the full table drew --- *)
+
+(* The sampler the strided table replaced: every running sum of the
+   2^n probabilities (one run, or above par_threshold one per reduce
+   block from the sum of the blocks before it), and a binary search
+   over all of them. *)
+let reference_cdf s =
+  let sz = Statevector.size s in
+  let cdf = Array.make sz 0. in
+  let fill off lo hi =
+    let acc = ref off in
+    for x = lo to hi - 1 do
+      let r = Statevector.get_re s x and i = Statevector.get_im s x in
+      acc := !acc +. (r *. r) +. (i *. i);
+      cdf.(x) <- !acc
+    done
+  in
+  if sz <= Statevector.par_threshold then fill 0. 0 sz
+  else begin
+    let k = Statevector.reduce_blocks in
+    let off = ref 0. in
+    for i = 0 to k - 1 do
+      let lo = sz * i / k and hi = sz * (i + 1) / k in
+      fill !off lo hi;
+      off := !off +. Statevector.seg_sum2 s lo hi
+    done
+  end;
+  cdf
+
+let reference_sampler cdf r =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) > r then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* A random state of 1-16 qubits: non-dyadic amplitudes on every index,
+   or on a few indices chosen at stride edges (64j - 1, 64j), reduce-block
+   edges and at random; normalized, or a little short of norm 1 so
+   draws run past the last sum. *)
+let random_state st =
+  let n = 1 + Random.State.int st 16 in
+  let sz = 1 lsl n in
+  let s = Statevector.init n in
+  Statevector.set_re s 0 0.;
+  let put x =
+    if x >= 0 && x < sz then begin
+      Statevector.set_re s x (Random.State.float st 1. -. 0.5);
+      Statevector.set_im s x (Random.State.float st 1. -. 0.5)
+    end
+  in
+  if Random.State.bool st then
+    for x = 0 to sz - 1 do
+      put x
+    done
+  else begin
+    let block = max 1 (sz / Statevector.reduce_blocks) in
+    for _ = 1 to 1 + Random.State.int st 12 do
+      let edge = match Random.State.int st 3 with 0 -> 64 | 1 -> block | _ -> 1 in
+      let x = edge * Random.State.int st (max 1 (sz / edge)) in
+      put x;
+      if Random.State.bool st then put (x - 1)
+    done
+  end;
+  let norm = Statevector.norm2 s in
+  let scale = (if Random.State.int st 4 = 0 then 0.999 else 1.) /. sqrt norm in
+  for x = 0 to sz - 1 do
+    Statevector.set_re s x (scale *. Statevector.get_re s x);
+    Statevector.set_im s x (scale *. Statevector.get_im s x)
+  done;
+  s
+
+(* On random states laid out on one slab or in slabs of 4 or 32
+   amplitudes, built at jobs 1, 2 or 4: [cdf_at] reads every running
+   sum of the full table, and draws equal the full table's binary
+   search at each sum, the floats either side of it, and random draws. *)
+let prop_strided_sampler =
+  Helpers.prop "strided sampler = full-table sampler" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Helpers.rng seed in
+      let shard = [| None; Some 2; Some 5 |].(Random.State.int st 3) in
+      let jobs = [| 1; 2; 4 |].(Random.State.int st 3) in
+      let s = with_shard shard (fun () -> random_state st) in
+      let smp = with_jobs jobs (fun () -> Statevector.sampler s) in
+      let cdf = reference_cdf s in
+      let ok = ref true in
+      let draw r =
+        if Statevector.sample_at smp r <> reference_sampler cdf r then ok := false
+      in
+      Array.iteri
+        (fun x c ->
+          if not (Float.equal (Statevector.cdf_at smp x) c) then ok := false;
+          draw c;
+          draw (Float.pred c);
+          draw (Float.succ c))
+        cdf;
+      draw 0.;
+      draw (Float.pred 1.);
+      for k = 0 to 63 do
+        let r = Random.State.float (Helpers.rng (seed + k)) 1. in
+        if Statevector.sample_with smp (Helpers.rng (seed + k)) <> reference_sampler cdf r
+        then ok := false
+      done;
+      !ok)
+
 let test_obs_totals_jobs_invariant () =
   let c = Lazy.force wide_circuit in
   let totals jobs =
@@ -591,7 +698,8 @@ let () =
           Alcotest.test_case "jobs-invariant reductions" `Quick
             test_reduction_determinism;
           Alcotest.test_case "jobs-invariant telemetry totals" `Quick
-            test_obs_totals_jobs_invariant ] );
+            test_obs_totals_jobs_invariant;
+          prop_strided_sampler ] );
       ( "frame",
         [ prop_frame;
           Alcotest.test_case "inner product plans to Hadamards" `Quick

@@ -211,6 +211,132 @@ let test_obs_totals_across_configs () =
   Alcotest.(check (list (pair string int)))
     "non-shard totals identical across shard-bits" (strip tflat) (strip t4)
 
+(* --- a planned run starts at its first Hadamard layer --- *)
+
+let same_bits s1 s2 =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  Statevector.size s1 = Statevector.size s2
+  && (let ok = ref true in
+      for x = 0 to Statevector.size s1 - 1 do
+        let a = Statevector.amplitude s1 x and b = Statevector.amplitude s2 x in
+        if not (same a.re b.re && same a.im b.im) then ok := false
+      done;
+      !ok)
+
+(* A random Clifford+T gate on [n] qubits. *)
+let random_gate st n =
+  let q = Random.State.int st n in
+  let q2 = (q + 1 + Random.State.int st (n - 1)) mod n in
+  match Random.State.int st 9 with
+  | 0 -> Gate.H q
+  | 1 -> Gate.T q
+  | 2 -> Gate.Tdg q
+  | 3 -> Gate.S q
+  | 4 -> Gate.X q
+  | 5 -> Gate.Cnot (q, q2)
+  | 6 -> Gate.Cz (q, q2)
+  | 7 -> Gate.Rz (Random.State.float st 6.28 -. 3.14, q)
+  | _ -> if q <> 0 && q2 <> 0 then Gate.Ccx (0, q, q2) else Gate.Z q
+
+(* Random circuits of 10-15 qubits (planned by [run]) opening with H
+   on a random subset, in the shapes that decide how many leading
+   kernels the fused start takes: a whole layer (one kernel), a whole
+   layer split across two kernels (X; X between the halves ends the
+   first block, the identity drops out), a partial layer, a layer with
+   H repeated on a qubit, a diagonal run that the H block after it
+   carries as a pre-sweep (at the start, or between the two halves of
+   a layer), and no leading H; then a random tail. *)
+let h_led_circuit st =
+  let n = 10 + Random.State.int st 6 in
+  let hs qs = List.map (fun q -> Gate.H q) qs in
+  let all = List.init n Fun.id in
+  let subset () = List.filter (fun _ -> Random.State.bool st) all in
+  let split = 1 + Random.State.int st (n - 1) in
+  let lo = List.filter (fun q -> q < split) all
+  and hi = List.filter (fun q -> q >= split) all in
+  (* three diagonal gates: a sweep; the Rz puts a phase on |0…0⟩ *)
+  let diag_run qs =
+    let q () = List.nth qs (Random.State.int st (List.length qs)) in
+    [ Gate.Rz (Random.State.float st 3., q ()); Gate.T (q ()); Gate.T (q ()) ]
+  in
+  let head =
+    match Random.State.int st 7 with
+    | 0 -> hs all
+    | 1 -> hs lo @ [ Gate.X 0; Gate.X 0 ] @ hs hi
+    | 2 -> hs (subset ())
+    | 3 -> hs all @ [ Gate.H (Random.State.int st n) ] @ hs (subset ())
+    | 4 -> diag_run all @ hs all
+    | 5 -> hs lo @ diag_run lo @ hs hi
+    | _ -> random_gate st n :: hs all
+  in
+  let tail = List.init (Random.State.int st 30) (fun _ -> random_gate st n) in
+  Circuit.of_gates n (head @ tail)
+
+(* [Statevector.run] (the fused start, then replay) equals [init]
+   followed by [Plan.execute] of the whole plan, bit for bit, on one
+   slab and at shard bits 2, 3 and 10, at jobs 1, 2 and 4. *)
+let run_is_replay c =
+  List.for_all
+    (fun (jobs, shard) ->
+      with_jobs jobs (fun () ->
+          with_shard shard (fun () -> same_bits (run_planned c) (Statevector.run c))))
+    (List.concat_map
+       (fun jobs -> List.map (fun sb -> (jobs, sb)) [ None; Some 2; Some 3; Some 10 ])
+       [ 1; 2; 4 ])
+
+let prop_run_is_replay =
+  Helpers.prop "run = init + Plan.execute, bit for bit" ~count:40
+    (seeded_circuit_gen h_led_circuit) run_is_replay
+
+(* How many leading kernels each opening shape folds, on 12 qubits:
+   (kernels, qubit mask, Hadamard rounds). *)
+let test_fused_start_shapes () =
+  let n = 12 in
+  let hs qs = List.map (fun q -> Gate.H q) qs in
+  let all = List.init n Fun.id and low = List.init 6 Fun.id in
+  let high = List.init 6 (fun i -> 6 + i) in
+  let full = (1 lsl n) - 1 in
+  List.iter
+    (fun (name, gates, want) ->
+      let c = Circuit.of_gates n (gates @ [ Gate.Cnot (0, 11); Gate.T 11; Gate.H 11 ]) in
+      let start, mask, rounds = Statevector.Plan.hadamard_prefix (Statevector.Plan.build c) in
+      Alcotest.(check (triple int int int)) name want (start, mask, rounds);
+      Alcotest.(check bool) (name ^ ": run = init + Plan.execute") true
+        (same_bits (run_planned c) (Statevector.run c)))
+    [ ("whole layer", hs all, (1, full, n));
+      ("layer split over two kernels", hs low @ [ Gate.X 0; Gate.X 0 ] @ hs high, (2, full, n));
+      ("partial layer", hs [ 0; 2; 5 ] @ [ Gate.Cnot (0, 1) ], (1, 0b100101, 3));
+      ("H repeated on a qubit", hs all @ hs [ 3; 4 ], (1, full, n));
+      ("pre-sweep on the first block", [ Gate.Rz (0.3, 0); Gate.T 1; Gate.T 2 ] @ hs all,
+        (0, 0, 0));
+      ("pre-sweep on the second block", hs low @ [ Gate.T 0; Gate.T 1; Gate.T 2 ] @ hs high,
+        (1, 0b111111, 6));
+      ("no leading H", Gate.Cnot (0, 1) :: hs all, (0, 0, 0)) ]
+
+(* 18 qubits: the H layer outgrows one Kronecker block (16 bits), so it
+   splits over two kernels, both folded into the allocation (the MCX on
+   the top qubit keeps the CNOT chain's block from clustering in
+   between). *)
+let test_run_is_replay_wide () =
+  let c =
+    Circuit.of_gates 18
+      (List.init 18 (fun q -> Gate.H q)
+      @ [ Gate.Mcx ([ 0; 1; 2 ], 17) ]
+      @ List.init 17 (fun q -> Gate.Cnot (q, q + 1))
+      @ [ Gate.T 3; Gate.H 17; Gate.H 2 ])
+  in
+  let start, mask, _ = Statevector.Plan.hadamard_prefix (Statevector.Plan.build c) in
+  Alcotest.(check (pair int int)) "two kernels, every qubit" (2, (1 lsl 18) - 1) (start, mask);
+  List.iter
+    (fun (jobs, shard) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "bit for bit at jobs %d, shard %s" jobs
+           (match shard with None -> "auto" | Some b -> string_of_int b))
+        true
+        (with_jobs jobs (fun () ->
+             with_shard shard (fun () -> same_bits (run_planned c) (Statevector.run c)))))
+    [ (1, None); (2, Some 10); (4, Some 3) ]
+
 (* --- peephole: reorder preserves the unitary --- *)
 
 let prop_peephole_unitary =
@@ -314,6 +440,11 @@ let () =
             test_sampler_across_configs;
           Alcotest.test_case "telemetry totals" `Quick
             test_obs_totals_across_configs ] );
+      ( "fused-start",
+        [ Alcotest.test_case "kernels folded per opening" `Quick test_fused_start_shapes;
+          prop_run_is_replay;
+          Alcotest.test_case "18-qubit layer over two kernels" `Quick
+            test_run_is_replay_wide ] );
       ( "peephole",
         [ prop_peephole_unitary;
           Alcotest.test_case "widens monomial runs" `Quick
