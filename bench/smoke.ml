@@ -116,19 +116,60 @@ let null_flow_overhead _ =
 (* The seed-42 Maiorana-McFarland 6+6 instance (15 qubits) through
    lowering and T-par: the peephole keeps its pinned gate count, and one
    pass over the 19k gates stays interactive (the restart-from-zero
-   fixpoint it replaced took about 9 s). *)
+   fixpoint it replaced took about 9 s). Arrivals and removals allocate
+   nothing, so the pass allocates a few minor words per input gate, for
+   the output list and the fused gates (Gc.minor_words is exact, so the
+   ceiling is not a timing; building qubit lists and option slots cost
+   24.5). *)
 let peephole _ =
   let inst = Core.Hidden_shift.random_mm_instance (Random.State.make [| 42 |]) 6 in
   let lowered, _ = Qc.Clifford_t.compile (Core.Hidden_shift.build inst) in
   let folded = Qc.Tpar.optimize lowered in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let final = Qc.Opt.simplify folded in
   let elapsed = Unix.gettimeofday () -. t0 in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Qc.Circuit.num_gates folded) in
   let gates = Qc.Circuit.num_gates final in
   if gates <> 14712 then fail "MM 6+6 simplifies to %d gates, want 14712" gates;
   if elapsed > 1. then fail "simplify took %.2fs (> 1s ceiling)" elapsed;
-  Printf.sprintf "MM 6+6 %d -> %d gates, simplify %.1fms" (Qc.Circuit.num_gates folded) gates
-    (elapsed *. 1e3)
+  if words > 6. then fail "simplify allocates %.1f minor words per gate (> 6 ceiling)" words;
+  Printf.sprintf "MM 6+6 %d -> %d gates, simplify %.1fms, %.1f words/gate"
+    (Qc.Circuit.num_gates folded) gates (elapsed *. 1e3) words
+
+(* MD5 over the Int64 bits of (re, im) of every amplitude, in index
+   order. *)
+let state_digest s =
+  let b = Buffer.create (16 * Qc.Statevector.size s) in
+  for x = 0 to Qc.Statevector.size s - 1 do
+    let a = Qc.Statevector.amplitude s x in
+    Buffer.add_int64_le b (Int64.bits_of_float a.re);
+    Buffer.add_int64_le b (Int64.bits_of_float a.im)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Gate by gate, the seed-42 MM 3+3 (6 qubits) and 5+5 (12 qubits) flow
+   outputs end in pinned amplitude bits, on one slab and on 8-amplitude
+   slabs: the per-gate kernels visit only the amplitudes a gate touches,
+   and compute each one as the kernels that tested every index did. *)
+let gates _ =
+  List.iter
+    (fun (k, want) ->
+      let inst = Core.Hidden_shift.random_mm_instance (Random.State.make [| 42 |]) k in
+      let lowered, _ = Qc.Clifford_t.compile (Core.Hidden_shift.build inst) in
+      let c = Qc.Opt.simplify (Qc.Tpar.optimize lowered) in
+      List.iter
+        (fun sb ->
+          Qc.Statevector.set_shard_bits sb;
+          let got = state_digest (Qc.Statevector.run ~fuse:false c) in
+          Qc.Statevector.set_shard_bits None;
+          if got <> want then
+            fail "MM %d+%d gate by gate (shard bits %s) hashes to %s, want %s" k k
+              (match sb with Some b -> string_of_int b | None -> "auto")
+              got want)
+        [ None; Some 3 ])
+    [ (3, "e72a1908536d13cc72ab48c77eebf34d"); (5, "3d774775ecf534a807f6964a1042b999") ];
+  "MM 3+3 and 5+5 amplitude bits pinned"
 
 (* T-par costs each region its own gates. On the seed-42 MM 6+6
    lowering it keeps its pinned output and allocates a few minor words
@@ -300,8 +341,10 @@ let cases =
        catastrophic regression trips it *)
     { name = "solve"; steps = [ Do solve ]; checks = []; ceiling = Some 30. };
     (* the one-pass peephole on a 15-qubit flow output: same gates, in
-       milliseconds *)
+       milliseconds, few allocations *)
     { name = "peephole"; steps = [ Do peephole ]; checks = []; ceiling = None };
+    (* the per-gate kernels on two flow outputs: pinned amplitude bits *)
+    { name = "gates"; steps = [ Do gates ]; checks = []; ceiling = None };
     (* T-par on a 15-qubit flow output and a 60-qubit, barrier-heavy
        inner product: same gates, few allocations, no per-region
        rebuild *)

@@ -170,16 +170,35 @@ let readout st params n x =
   done;
   !x
 
+(* A circuit ready for a batch of shots, prepared once per batch: its
+   gates, the qubits of each as an array, and each gate's error
+   probability per qubit ([p1] for a 1-qubit gate, else [p2]), so a shot
+   builds no qubit list per gate. *)
+type prepared = {
+  width : int;
+  gates : Gate.t array;
+  qubits : int array array;
+  prob : float array;
+}
+
+let prepare params circuit =
+  let gates = Circuit.to_array circuit in
+  let qubits = Array.map (fun g -> Array.of_list (Gate.qubits g)) gates in
+  { width = Circuit.num_qubits circuit;
+    gates;
+    qubits;
+    prob = Array.map (fun qs -> if Array.length qs = 1 then params.p1 else params.p2) qubits }
+
 (* One noisy execution; returns (measured outcome, injected error count,
    whether the state went dense). The state is sparse while its support
    stays within [budget], dense from the first gate or error that passes
    it. The PRNG draws — errors, damping jumps, the final sample — come
    in the same order on either representation, and the two compute the
-   same amplitudes, so the result does not depend on [budget]. No
-   telemetry — safe to call from pool workers. *)
-let simulate_shot ~budget st params circuit =
-  let n = Circuit.num_qubits circuit in
-  Statevector.check_width n;
+   same amplitudes, so the result does not depend on [budget]. The
+   caller checks the width against the statevector cap. No telemetry —
+   safe to call from pool workers. *)
+let simulate_shot ~budget st params pc =
+  let n = pc.width in
   let state = ref (Sim.Sparse (Sparse.init n)) and densified = ref false in
   let settle () =
     match !state with
@@ -196,31 +215,29 @@ let simulate_shot ~budget st params circuit =
   in
   settle ();
   let errors = ref 0 in
-  Circuit.iter
-    (fun g ->
-      apply g;
-      let qs = Gate.qubits g in
-      let p = if List.length qs = 1 then params.p1 else params.p2 in
-      List.iter
-        (fun q ->
-          if Random.State.float st 1. < p then begin
-            incr errors;
-            apply (random_pauli st q)
-          end;
-          if params.gamma > 0. then begin
-            (* quantum-trajectory amplitude damping *)
-            let p1 =
-              match !state with
-              | Sim.Sparse s -> Sparse.prob_of_qubit s q
-              | Sim.Dense v -> Statevector.prob_of_qubit v q
-            in
-            let jump = Random.State.float st 1. < params.gamma *. p1 in
-            match !state with
-            | Sim.Sparse s -> Sparse.amplitude_damp s q ~gamma:params.gamma ~jump
-            | Sim.Dense v -> Statevector.amplitude_damp v q ~gamma:params.gamma ~jump
-          end)
-        qs)
-    circuit;
+  for i = 0 to Array.length pc.gates - 1 do
+    apply pc.gates.(i);
+    let qs = pc.qubits.(i) and p = pc.prob.(i) in
+    for j = 0 to Array.length qs - 1 do
+      let q = qs.(j) in
+      if Random.State.float st 1. < p then begin
+        incr errors;
+        apply (random_pauli st q)
+      end;
+      if params.gamma > 0. then begin
+        (* quantum-trajectory amplitude damping *)
+        let p1 =
+          match !state with
+          | Sim.Sparse s -> Sparse.prob_of_qubit s q
+          | Sim.Dense v -> Statevector.prob_of_qubit v q
+        in
+        let jump = Random.State.float st 1. < params.gamma *. p1 in
+        match !state with
+        | Sim.Sparse s -> Sparse.amplitude_damp s q ~gamma:params.gamma ~jump
+        | Sim.Dense v -> Statevector.amplitude_damp v q ~gamma:params.gamma ~jump
+      end
+    done
+  done;
   let outcome =
     match !state with
     | Sim.Sparse s -> Sparse.sample st s
@@ -233,12 +250,13 @@ let simulate_shot ~budget st params circuit =
     sparse until its support passes [budget] (default {!Sparse.budget}),
     dense after; [~budget:0] runs dense from the first gate, the
     reference the other paths are tested against. The result is the same
-    for every [budget]. No telemetry — safe to call from pool workers. *)
+    for every [budget]. Raises {!Statevector.Unsupported} past the
+    statevector cap. No telemetry — safe to call from pool workers. *)
 let run_shot_raw ?budget st params circuit =
-  let budget =
-    match budget with Some b -> b | None -> Sparse.budget (Circuit.num_qubits circuit)
-  in
-  let x, errors, _ = simulate_shot ~budget st params circuit in
+  let n = Circuit.num_qubits circuit in
+  Statevector.check_width n;
+  let budget = match budget with Some b -> b | None -> Sparse.budget n in
+  let x, errors, _ = simulate_shot ~budget st params (prepare params circuit) in
   (x, errors)
 
 (* ------------------------------------------------------------------ *)
@@ -307,24 +325,22 @@ let frame_after c errors =
 (* One noisy shot of a Clifford circuit by Pauli frame; returns (measured
    outcome, injected error count). The error draws are those of
    [run_shot_raw], gate by gate and qubit by qubit; the noiseless outcome
-   then comes from [smp]. [qubits.(i)] is [Gate.qubits gates.(i)]. *)
-let run_frame_shot st params smp gates qubits n =
+   then comes from [smp]. *)
+let run_frame_shot st params smp pc =
   let errors = ref 0 in
   let fx, _ =
     if params.p1 = 0. && params.p2 = 0. then (0, 0) (* no gate noise: no draws *)
     else
-      push_frame gates (fun i fx fz ->
-          let qs = qubits.(i) in
-          let p = if List.length qs = 1 then params.p1 else params.p2 in
-          List.iter
-            (fun q ->
-              if Random.State.float st 1. < p then begin
-                incr errors;
-                inject fx fz (random_pauli st q)
-              end)
-            qs)
+      push_frame pc.gates (fun i fx fz ->
+          let qs = pc.qubits.(i) and p = pc.prob.(i) in
+          for j = 0 to Array.length qs - 1 do
+            if Random.State.float st 1. < p then begin
+              incr errors;
+              inject fx fz (random_pauli st qs.(j))
+            end
+          done)
   in
-  (readout st params n (Stabilizer.sample smp st lxor fx), !errors)
+  (readout st params pc.width (Stabilizer.sample smp st lxor fx), !errors)
 
 (* ------------------------------------------------------------------ *)
 (* Shot batches                                                        *)
@@ -386,9 +402,9 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
   (* per gate-by-gate shot: did its state go dense? *)
   let densified = Array.make (max 1 shots) false in
   let budget = Sparse.budget n in
-  let shot_range c lo hi =
+  let shot_range pc c lo hi =
     for shot = lo to hi - 1 do
-      let x, e, d = simulate_shot ~budget (shot_state ~seed shot) params circuit in
+      let x, e, d = simulate_shot ~budget (shot_state ~seed shot) params pc in
       counts_add c x 1;
       errors.(shot) <- e;
       densified.(shot) <- d
@@ -401,11 +417,10 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
         (* Pauli frames (see the header): one tableau run and one sampler
            for the whole batch, then O(gates + n) bit operations a shot. *)
         let smp = Stabilizer.sampler (Stabilizer.run circuit) in
-        let gates = Circuit.to_array circuit in
-        let qubits = Array.map Gate.qubits gates in
+        let pc = prepare params circuit in
         let c = counts_make n in
         for shot = 0 to shots - 1 do
-          let x, e = run_frame_shot (shot_state ~seed shot) params smp gates qubits n in
+          let x, e = run_frame_shot (shot_state ~seed shot) params smp pc in
           counts_add c x 1;
           errors.(shot) <- e
         done;
@@ -420,15 +435,17 @@ let run_shots ?(seed = 0xC0FFEE) ?jobs params circuit ~shots =
           counts_add c (readout st params n (Sim.sample_with smp st)) 1
         done;
         c
-    | Sim.Gate_by_gate when jobs = 1 -> shot_range (counts_make n) 0 shots
+    | Sim.Gate_by_gate when jobs = 1 ->
+        shot_range (prepare params circuit) (counts_make n) 0 shots
     | Sim.Gate_by_gate ->
+        let pc = prepare params circuit in
         (* Chunk the shot range; each task accumulates a private histogram
            (and per-shot results at disjoint indices), then the chunks
            merge in index order on the calling domain. *)
         Par.with_pool ~jobs (fun pool ->
             Par.map_reduce pool ~tasks:jobs
               ~map:(fun i ->
-                shot_range (counts_make n) (shots * i / jobs) (shots * (i + 1) / jobs))
+                shot_range pc (counts_make n) (shots * i / jobs) (shots * (i + 1) / jobs))
               ~reduce:counts_merge ~init:(counts_make n))
   in
   (* telemetry accumulated above, flushed once from the calling domain —

@@ -1,14 +1,19 @@
 (** Gate kernels and reductions over the slab storage ({!Sv_shard}).
 
     Every kernel is written once, against one slab: a flat state is a
-    single slab whose base index is 0. Slab-local work goes through one
-    chunk driver ({!run_chunks}), which spreads slab ranges over the
-    {!Par} pool, or splits a single slab's index range when the state
-    has only one; a pair whose partner sits in another slab streams the
-    two slabs in lockstep. Reductions chunk the {e global} index space
-    into a fixed block count and walk each block's slabs in ascending
-    global order, so sums are bit-identical across every jobs ×
-    shard-bits setting. *)
+    single slab whose base index is 0. A per-gate kernel visits only the
+    amplitudes its gate changes. Its {e fixed} bits (target and
+    controls) name them: the representatives are the indices whose
+    fixed bits are all zero, each one stands for the pair or the single
+    amplitude the gate touches, and the kernel steps from one to the
+    next without testing the indices in between. Slab-local work goes
+    through {!run_chunks}, which spreads slab ranges over the {!Par}
+    pool, or splits a single slab's representatives when the state has
+    only one; a pair whose partner sits in another slab streams the two
+    slabs in lockstep. Reductions chunk the {e global} index space into
+    a fixed block count and walk each block's slabs in ascending global
+    order, so sums are bit-identical across every jobs × shard-bits
+    setting. *)
 
 include Sv_shard
 
@@ -18,20 +23,23 @@ include Sv_shard
 let par_threshold = 1 lsl 14
 
 (* Below this many qubits [Statevector.run] applies gates one by one
-   instead of replaying a plan: kernel passes over ≤ 2^9 amplitudes are
-   already sub-µs, so the plan cache's structural key and the schedule
-   cost more than they save. Tests drive [Plan.build]/[Plan.execute]
-   directly on small circuits. *)
+   instead of replaying a plan. A gate costs its touched amplitudes and
+   a few ns of dispatch: the 232 gates of a 6-qubit flow output run in
+   about 21 µs in all, about 90 ns a gate (35 µs when every kernel
+   tested all 2^n indices; one core of a 2-vCPU VM), so the plan
+   cache's structural key and the schedule would cost more than they
+   save. Tests drive [Plan.build]/[Plan.execute] directly on small
+   circuits. *)
 let fuse_min_qubits = 10
 
 (* The chunk driver for slab-local kernels: [body slo shi lo hi] runs a
    kernel on slabs [slo, shi), each over its units [lo, hi) — [units]
-   per slab, amplitudes or block groups. Each pool task is one call, so
-   a block kernel allocates its group scratch once per task. Many slabs
-   split by slab range; a single slab above [par_threshold] splits its
-   unit range instead, so a flat state keeps the whole pool. Tasks write
-   disjoint slabs or disjoint unit ranges: any pool width is
-   bit-identical. *)
+   per slab: amplitudes, representatives or block groups. Each pool
+   task is one call, so a block kernel allocates its group scratch once
+   per task. Many slabs split by slab range; a single slab above
+   [par_threshold] splits its unit range instead, so a flat state keeps
+   the whole pool. Tasks write disjoint slabs or disjoint unit ranges:
+   any pool width is bit-identical. *)
 let run_chunks s ~units body =
   let slabs = slab_count s in
   if size s <= par_threshold then body 0 slabs 0 units
@@ -42,13 +50,18 @@ let run_chunks s ~units body =
     Par.parallel_for (Par.global ()) ~start:0 ~stop:slabs (fun slo shi ->
         body slo shi 0 units)
 
-(* {!run_chunks} over amplitudes, for kernels without scratch:
-   [f sl lo hi] once per slab. *)
-let run_slabs s f =
-  run_chunks s ~units:(slab_size s) (fun slo shi lo hi ->
+(* {!run_chunks} over the representatives of the local bits [fixed], for
+   kernels without scratch: [f sl lo hi] once per slab, over the ranks
+   [lo, hi) of its 2^(sb − popcount fixed) representatives. *)
+let run_reps s ~fixed f =
+  run_chunks s ~units:(slab_size s lsr Logic.Bitops.popcount fixed)
+    (fun slo shi lo hi ->
       for sl = slo to shi - 1 do
         f sl lo hi
       done)
+
+(* {!run_reps} with no fixed bit: [f sl lo hi] over amplitudes. *)
+let run_slabs s f = run_reps s ~fixed:0 f
 
 (* The cross-slab kernels' driver: a global range [0, stop) chunked over
    the pool once the state is big enough to amortize it. *)
@@ -56,32 +69,57 @@ let run_range s stop body =
   if size s <= par_threshold then body 0 stop
   else Par.parallel_for (Par.global ()) ~start:0 ~stop body
 
-(* Kernel bodies are top-level segment functions over a slab's local
-   range [lo, hi): the drivers call them with unboxed arguments (loop
-   locals stay in registers), and only the driver pays a closure.
-   Wrapping the whole body in a closure costs ~15% on kernel-bound
-   circuits without flambda, because captured variables are re-read
-   from the closure environment each iteration. Each segment writes a
-   disjoint index slice, so any worker count computes bit-identical
-   amplitudes (Par's contract). *)
-let seg_1q re im bit (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
-    (m11 : Complex.t) lo hi =
-  let x = ref lo in
-  while !x < hi do
-    if !x land bit = 0 then begin
-      let y = !x lor bit in
-      let ar = re.(!x) and ai = im.(!x) and br = re.(y) and bi = im.(y) in
-      re.(!x) <- (m00.re *. ar) -. (m00.im *. ai) +. (m01.re *. br) -. (m01.im *. bi);
-      im.(!x) <- (m00.re *. ai) +. (m00.im *. ar) +. (m01.re *. bi) +. (m01.im *. br);
-      re.(y) <- (m10.re *. ar) -. (m10.im *. ai) +. (m11.re *. br) -. (m11.im *. bi);
-      im.(y) <- (m10.re *. ai) +. (m10.im *. ar) +. (m11.re *. bi) +. (m11.im *. br)
-    end;
-    incr x
+(* [deposit k f] is the representative of rank [k]: the [k]-th index,
+   counting from 0, whose [f] bits are all zero. It spreads [k]'s bits
+   over the free positions by opening a zero at each set bit of [f],
+   lowest first (a software bit deposit onto [lnot f]), so a chunk
+   starts at its first rank in O(popcount f). *)
+let[@inline] deposit k f =
+  let k = ref k and m = ref f in
+  while !m <> 0 do
+    let b = !m land - !m in
+    let low = !k land (b - 1) in
+    k := ((!k lxor low) lsl 1) lor low;
+    m := !m lxor b
+  done;
+  !k
+
+(* Kernel bodies are top-level segment functions over the ranks
+   [lo, hi) of a slab's representatives: their callers pass unboxed
+   arguments (loop locals stay in registers), and only the caller pays
+   a closure. Wrapping the whole body in a closure costs
+   ~15% on kernel-bound circuits without flambda, because captured
+   variables are re-read from the closure environment each iteration.
+   Each segment starts at [deposit lo fixed] and steps to the next
+   representative with [((x lor fixed) + 1) land lnot fixed]: the carry
+   skips every fixed bit. Amplitudes outside the representatives' pairs
+   are never read or written, and each segment writes a disjoint index
+   slice, so any worker count computes bit-identical amplitudes (Par's
+   contract). The accesses skip the bounds check: a slab of 2^sb
+   amplitudes has 2^(sb − popcount fixed) representatives, all below
+   2^sb, and their callers pass only local fixed bits and a [want] inside
+   them ({!apply} refuses a qubit outside the state), so every index a
+   segment forms stays in the slab. *)
+let seg_1q (re : float array) (im : float array) bit (m00 : Complex.t) (m01 : Complex.t)
+    (m10 : Complex.t) (m11 : Complex.t) lo hi =
+  let nf = lnot bit in
+  let x = ref (deposit lo bit) in
+  for _ = lo to hi - 1 do
+    let x0 = !x in
+    let y = x0 lor bit in
+    let ar = Array.unsafe_get re x0 and ai = Array.unsafe_get im x0 in
+    let br = Array.unsafe_get re y and bi = Array.unsafe_get im y in
+    Array.unsafe_set re x0 ((m00.re *. ar) -. (m00.im *. ai) +. (m01.re *. br) -. (m01.im *. bi));
+    Array.unsafe_set im x0 ((m00.re *. ai) +. (m00.im *. ar) +. (m01.re *. bi) +. (m01.im *. br));
+    Array.unsafe_set re y ((m10.re *. ar) -. (m10.im *. ai) +. (m11.re *. br) -. (m11.im *. bi));
+    Array.unsafe_set im y ((m10.re *. ai) +. (m10.im *. ar) +. (m11.re *. bi) +. (m11.im *. br));
+    x := ((x0 lor bit) + 1) land nf
   done
 
 (* Cross-slab 1q kernel: the pair partner lives one high bit away, i.e.
    in another slab at the *same* local offset — stream both slabs in
-   lockstep. Same four store expressions as {!seg_1q}. *)
+   lockstep. Every local offset is a representative. Same four store
+   expressions as {!seg_1q}. *)
 let seg_1q_pair (are : float array) (aim : float array) (bre : float array)
     (bim : float array) (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
     (m11 : Complex.t) lo hi =
@@ -93,11 +131,19 @@ let seg_1q_pair (are : float array) (aim : float array) (bre : float array)
     bim.(x) <- (m10.re *. ai) +. (m10.im *. ar) +. (m11.re *. bi) +. (m11.im *. br)
   done
 
+(* [bit_of s q] is the index bit of qubit [q]; a qubit outside the
+   state is refused. *)
+let bit_of s q =
+  if q < 0 || q >= s.n then invalid_arg "Statevector.apply: qubit out of range";
+  1 lsl q
+
+let rec mask_in s = function [] -> 0 | q :: qs -> bit_of s q lor mask_in s qs
+
 let apply_1q s q (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
     (m11 : Complex.t) =
-  let bit = 1 lsl q in
+  let bit = bit_of s q in
   if q < s.sb then
-    run_slabs s (fun sl lo hi ->
+    run_reps s ~fixed:bit (fun sl lo hi ->
         seg_1q s.sl_re.(sl) s.sl_im.(sl) bit m00 m01 m10 m11 lo hi)
   else begin
     let hb = 1 lsl (q - s.sb) in
@@ -108,110 +154,131 @@ let apply_1q s q (m00 : Complex.t) (m01 : Complex.t) (m10 : Complex.t)
             m00 m01 m10 m11 lo hi)
   end
 
-(* Pair kernels visit each (x, x lxor tbit) pair once via the tbit = 0
-   representative; the tbit = 1 partner is never a representative itself,
-   so chunking the full index range keeps writes disjoint. *)
+(* Pair kernels visit each (x, x lxor tbit) pair once: the fixed bits
+   are the controls [mask] and the target [tbit], and each
+   representative, with [want] ORed in, is the tbit = 0 half of a pair
+   whose controls match. *)
 (* The float array annotations matter: without them these move-only
    bodies generalize polymorphically and compile to generic (boxing)
    array accesses — ~2.5x slower. *)
 let seg_swap (re : float array) (im : float array) mask want tbit lo hi =
-  for x = lo to hi - 1 do
-    if x land tbit = 0 && x land mask = want then begin
-      let y = x lor tbit in
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- re.(y);
-      im.(x) <- im.(y);
-      re.(y) <- r;
-      im.(y) <- i
-    end
+  let f = mask lor tbit in
+  let nf = lnot f in
+  let r = ref (deposit lo f) in
+  for _ = lo to hi - 1 do
+    let x = !r lor want in
+    let y = x lor tbit in
+    let xr = Array.unsafe_get re x and xi = Array.unsafe_get im x in
+    Array.unsafe_set re x (Array.unsafe_get re y);
+    Array.unsafe_set im x (Array.unsafe_get im y);
+    Array.unsafe_set re y xr;
+    Array.unsafe_set im y xi;
+    r := ((!r lor f) + 1) land nf
   done
 
 (* Cross-slab controlled-swap: the target bit selects the partner slab;
    any control bits split into a slab-index condition (checked once per
-   pair of slabs) and a local mask. Pure moves — exact. *)
+   pair of slabs) and a local mask, whose representatives the two slabs
+   share. Pure moves — exact. *)
 let seg_swap_pair (are : float array) (aim : float array) (bre : float array)
     (bim : float array) mask want lo hi =
-  for x = lo to hi - 1 do
-    if x land mask = want then begin
-      let r = are.(x) and i = aim.(x) in
-      are.(x) <- bre.(x);
-      aim.(x) <- bim.(x);
-      bre.(x) <- r;
-      bim.(x) <- i
-    end
+  let nf = lnot mask in
+  let r = ref (deposit lo mask) in
+  for _ = lo to hi - 1 do
+    let x = !r lor want in
+    let xr = Array.unsafe_get are x and xi = Array.unsafe_get aim x in
+    Array.unsafe_set are x (Array.unsafe_get bre x);
+    Array.unsafe_set aim x (Array.unsafe_get bim x);
+    Array.unsafe_set bre x xr;
+    Array.unsafe_set bim x xi;
+    r := ((!r lor mask) + 1) land nf
   done
 
 (* The mask and want split into a slab-index half (checked once per
-   slab) and a local half. *)
+   slab) and a local half. No index matches a [want] outside the mask:
+   that is a no-op. *)
 let swap_pairs s ~mask ~want ~tbit =
   let mlo = mask land s.smask and mhi = mask lsr s.sb in
   let wlo = want land s.smask and whi = want lsr s.sb in
-  if tbit <= s.smask then
-    run_slabs s (fun sl lo hi ->
+  if want land lnot mask <> 0 then ()
+  else if tbit <= s.smask then
+    run_reps s ~fixed:(mlo lor tbit) (fun sl lo hi ->
         if sl land mhi = whi then
           seg_swap s.sl_re.(sl) s.sl_im.(sl) mlo wlo tbit lo hi)
   else begin
     let hb = tbit lsr s.sb in
-    run_slabs s (fun sl lo hi ->
+    run_reps s ~fixed:mlo (fun sl lo hi ->
         if sl land hb = 0 && sl land mhi = whi then
           seg_swap_pair s.sl_re.(sl) s.sl_im.(sl)
             s.sl_re.(sl lor hb) s.sl_im.(sl lor hb)
             mlo wlo lo hi)
   end
 
-let seg_phase re im mask want pre pim lo hi =
-  for x = lo to hi - 1 do
-    if x land mask = want then begin
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- (pre *. r) -. (pim *. i);
-      im.(x) <- (pre *. i) +. (pim *. r)
-    end
+(* A phase on the indices matching [want] on [mask]: the fixed bits are
+   [mask], and [want] ORed into each representative is one index to
+   multiply. *)
+let seg_phase (re : float array) (im : float array) mask want pre pim lo hi =
+  let nf = lnot mask in
+  let r = ref (deposit lo mask) in
+  for _ = lo to hi - 1 do
+    let x = !r lor want in
+    let xr = Array.unsafe_get re x and xi = Array.unsafe_get im x in
+    Array.unsafe_set re x ((pre *. xr) -. (pim *. xi));
+    Array.unsafe_set im x ((pre *. xi) +. (pim *. xr));
+    r := ((!r lor mask) + 1) land nf
   done
 
 let phase_on s ~mask ~want (p : Complex.t) =
   (* diagonal: never crosses slabs — the slab-index half of the mask
-     just gates which slabs are touched at all *)
+     just gates which slabs are touched at all; a [want] outside the
+     mask matches no index *)
   let mlo = mask land s.smask and mhi = mask lsr s.sb in
   let wlo = want land s.smask and whi = want lsr s.sb in
-  run_slabs s (fun sl lo hi ->
-      if sl land mhi = whi then
-        seg_phase s.sl_re.(sl) s.sl_im.(sl) mlo wlo p.re p.im lo hi)
+  if want land lnot mask = 0 then
+    run_reps s ~fixed:mlo (fun sl lo hi ->
+        if sl land mhi = whi then
+          seg_phase s.sl_re.(sl) s.sl_im.(sl) mlo wlo p.re p.im lo hi)
 
-(* Swap = visit the (a=1, b=0) pattern once, exchange with (a=0, b=1). *)
+(* Swap = visit the (a=1, b=0) pattern once, exchange with (a=0, b=1):
+   both bits are fixed, a representative with [ab] ORed in is the first
+   index and with [bb] ORed in the second. *)
 let seg_swap2 (re : float array) (im : float array) ab bb lo hi =
-  for x = lo to hi - 1 do
-    if x land ab <> 0 && x land bb = 0 then begin
-      let y = (x lxor ab) lor bb in
-      let r = re.(x) and i = im.(x) in
-      re.(x) <- re.(y);
-      im.(x) <- im.(y);
-      re.(y) <- r;
-      im.(y) <- i
-    end
+  let f = ab lor bb in
+  let nf = lnot f in
+  let r = ref (deposit lo f) in
+  for _ = lo to hi - 1 do
+    let x = !r lor ab and y = !r lor bb in
+    let xr = Array.unsafe_get re x and xi = Array.unsafe_get im x in
+    Array.unsafe_set re x (Array.unsafe_get re y);
+    Array.unsafe_set im x (Array.unsafe_get im y);
+    Array.unsafe_set re y xr;
+    Array.unsafe_set im y xi;
+    r := ((!r lor f) + 1) land nf
   done
 
 (* SWAP with at least one qubit above the slab bit: rare enough (plans
-   fuse SWAPs into permutation blocks) that a generic global-index walk
-   via the accessors is fine. Pure moves — exact, and pairs are disjoint
-   so chunking stays deterministic. *)
+   fuse SWAPs into permutation blocks) that a generic walk over the
+   global representatives via the accessors is fine. Pure moves — exact,
+   and pairs are disjoint so chunking stays deterministic. *)
 let seg_swap2_g s ab bb lo hi =
-  for x = lo to hi - 1 do
-    if x land ab <> 0 && x land bb = 0 then begin
-      let y = (x lxor ab) lor bb in
-      let r = get_re s x and i = get_im s x in
-      set_re s x (get_re s y);
-      set_im s x (get_im s y);
-      set_re s y r;
-      set_im s y i
-    end
+  let f = ab lor bb in
+  let nf = lnot f in
+  let r = ref (deposit lo f) in
+  for _ = lo to hi - 1 do
+    let x = !r lor ab and y = !r lor bb in
+    let xr = get_re s x and xi = get_im s x in
+    set_re s x (get_re s y);
+    set_im s x (get_im s y);
+    set_re s y xr;
+    set_im s y xi;
+    r := ((!r lor f) + 1) land nf
   done
 
-let apply_swap s a b =
-  let ab = 1 lsl a and bb = 1 lsl b in
+let apply_swap s ab bb =
   if ab <= s.smask && bb <= s.smask then
-    run_slabs s (fun sl lo hi ->
+    run_reps s ~fixed:(ab lor bb) (fun sl lo hi ->
         seg_swap2 s.sl_re.(sl) s.sl_im.(sl) ab bb lo hi)
-  else run_range s (size s) (seg_swap2_g s ab bb)
+  else run_range s (size s lsr Logic.Bitops.popcount (ab lor bb)) (seg_swap2_g s ab bb)
 
 let c0 = Complex.zero
 let ci = Complex.i
@@ -225,40 +292,47 @@ let omega_bar = Complex.{ re = sqrt2inv; im = -.sqrt2inv }
 
 let mask_of qs = List.fold_left (fun m q -> m lor (1 lsl q)) 0 qs
 
-(** [apply s g] applies one gate in place. *)
+(* a phase on the basis states with qubit [q] set *)
+let phase_on_qubit s q p =
+  let b = bit_of s q in
+  phase_on s ~mask:b ~want:b p
+
+(** [apply s g] applies one gate in place. Raises [Invalid_argument]
+    when a qubit of [g] lies outside the state. *)
 let apply s (g : Gate.t) =
   match g with
-  | Gate.X q -> swap_pairs s ~mask:0 ~want:0 ~tbit:(1 lsl q)
-  | Gate.Y q ->
-      apply_1q s q c0 cmi ci c0
-  | Gate.Z q -> phase_on s ~mask:(1 lsl q) ~want:(1 lsl q) cm1
-  | Gate.S q -> phase_on s ~mask:(1 lsl q) ~want:(1 lsl q) ci
-  | Gate.Sdg q -> phase_on s ~mask:(1 lsl q) ~want:(1 lsl q) cmi
-  | Gate.T q -> phase_on s ~mask:(1 lsl q) ~want:(1 lsl q) omega
-  | Gate.Tdg q -> phase_on s ~mask:(1 lsl q) ~want:(1 lsl q) omega_bar
+  | Gate.X q -> swap_pairs s ~mask:0 ~want:0 ~tbit:(bit_of s q)
+  | Gate.Y q -> apply_1q s q c0 cmi ci c0
+  | Gate.Z q -> phase_on_qubit s q cm1
+  | Gate.S q -> phase_on_qubit s q ci
+  | Gate.Sdg q -> phase_on_qubit s q cmi
+  | Gate.T q -> phase_on_qubit s q omega
+  | Gate.Tdg q -> phase_on_qubit s q omega_bar
   | Gate.Rz (a, q) ->
       (* rz(θ) = diag(e^{-iθ/2}, e^{iθ/2}) *)
       let h = a /. 2. in
-      let bit = 1 lsl q in
+      let bit = bit_of s q in
       phase_on s ~mask:bit ~want:0 Complex.{ re = cos h; im = -.sin h };
       phase_on s ~mask:bit ~want:bit Complex.{ re = cos h; im = sin h }
   | Gate.H q -> apply_1q s q ch ch ch chm
-  | Gate.Cnot (c, t) -> swap_pairs s ~mask:(1 lsl c) ~want:(1 lsl c) ~tbit:(1 lsl t)
+  | Gate.Cnot (c, t) ->
+      let m = bit_of s c in
+      swap_pairs s ~mask:m ~want:m ~tbit:(bit_of s t)
   | Gate.Cz (a, b) ->
-      let m = (1 lsl a) lor (1 lsl b) in
+      let m = bit_of s a lor bit_of s b in
       phase_on s ~mask:m ~want:m cm1
-  | Gate.Swap (a, b) -> apply_swap s a b
+  | Gate.Swap (a, b) -> apply_swap s (bit_of s a) (bit_of s b)
   | Gate.Ccx (a, b, t) ->
-      let m = (1 lsl a) lor (1 lsl b) in
-      swap_pairs s ~mask:m ~want:m ~tbit:(1 lsl t)
+      let m = bit_of s a lor bit_of s b in
+      swap_pairs s ~mask:m ~want:m ~tbit:(bit_of s t)
   | Gate.Ccz (a, b, c) ->
-      let m = mask_of [ a; b; c ] in
+      let m = bit_of s a lor bit_of s b lor bit_of s c in
       phase_on s ~mask:m ~want:m cm1
   | Gate.Mcx (cs, t) ->
-      let m = mask_of cs in
-      swap_pairs s ~mask:m ~want:m ~tbit:(1 lsl t)
+      let m = mask_in s cs in
+      swap_pairs s ~mask:m ~want:m ~tbit:(bit_of s t)
   | Gate.Mcz qs ->
-      let m = mask_of qs in
+      let m = mask_in s qs in
       phase_on s ~mask:m ~want:m cm1
 
 (* --- deterministic parallel reductions --- *)

@@ -82,9 +82,9 @@ let check_tt_eq msg expected actual =
   Alcotest.(check bool) msg true (Logic.Truth_table.equal expected actual)
 
 (** Register a QCheck2 property as an alcotest case. *)
-let prop name ?(count = 100) gen law =
+let prop name ?(count = 100) ?print gen law =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count gen law)
+    (QCheck2.Test.make ~name ~count ?print gen law)
 
 (** Unitary equivalence of two circuits (exact). *)
 let same_unitary a b =
@@ -93,3 +93,84 @@ let same_unitary a b =
 (** Unitary equivalence up to global phase. *)
 let same_unitary_phase a b =
   Qc.Unitary.equal_up_to_phase (Qc.Unitary.of_circuit a) (Qc.Unitary.of_circuit b)
+
+(* --- per-index reference kernels --- *)
+
+(* The dense per-gate kernels as they were when each walked all 2^n
+   indices of a flat state (re, im) and tested every one: the reference
+   the kernels that step over their representatives must equal bit for
+   bit. *)
+let ref_1q (re : float array) (im : float array) bit (m00 : Complex.t) (m01 : Complex.t)
+    (m10 : Complex.t) (m11 : Complex.t) =
+  for x = 0 to Array.length re - 1 do
+    if x land bit = 0 then begin
+      let y = x lor bit in
+      let ar = re.(x) and ai = im.(x) and br = re.(y) and bi = im.(y) in
+      re.(x) <- (m00.re *. ar) -. (m00.im *. ai) +. (m01.re *. br) -. (m01.im *. bi);
+      im.(x) <- (m00.re *. ai) +. (m00.im *. ar) +. (m01.re *. bi) +. (m01.im *. br);
+      re.(y) <- (m10.re *. ar) -. (m10.im *. ai) +. (m11.re *. br) -. (m11.im *. bi);
+      im.(y) <- (m10.re *. ai) +. (m10.im *. ar) +. (m11.re *. bi) +. (m11.im *. br)
+    end
+  done
+
+let ref_swap (re : float array) (im : float array) mask want tbit =
+  for x = 0 to Array.length re - 1 do
+    if x land tbit = 0 && x land mask = want then begin
+      let y = x lor tbit in
+      let r = re.(x) and i = im.(x) in
+      re.(x) <- re.(y);
+      im.(x) <- im.(y);
+      re.(y) <- r;
+      im.(y) <- i
+    end
+  done
+
+let ref_phase (re : float array) (im : float array) mask want (p : Complex.t) =
+  for x = 0 to Array.length re - 1 do
+    if x land mask = want then begin
+      let r = re.(x) and i = im.(x) in
+      re.(x) <- (p.re *. r) -. (p.im *. i);
+      im.(x) <- (p.re *. i) +. (p.im *. r)
+    end
+  done
+
+let ref_swap2 (re : float array) (im : float array) ab bb =
+  for x = 0 to Array.length re - 1 do
+    if x land ab <> 0 && x land bb = 0 then begin
+      let y = (x lxor ab) lor bb in
+      let r = re.(x) and i = im.(x) in
+      re.(x) <- re.(y);
+      im.(x) <- im.(y);
+      re.(y) <- r;
+      im.(y) <- i
+    end
+  done
+
+(** [reference_apply re im g] applies gate [g] to the flat state
+    [(re, im)] with the per-index kernels, dispatched as
+    [Statevector.apply] dispatches. *)
+let reference_apply re im (g : Qc.Gate.t) =
+  let open Qc.Statevector in
+  let mask_of qs = List.fold_left (fun m q -> m lor (1 lsl q)) 0 qs in
+  let phase m p = ref_phase re im m m p in
+  match g with
+  | X q -> ref_swap re im 0 0 (1 lsl q)
+  | Y q -> ref_1q re im (1 lsl q) c0 cmi ci c0
+  | Z q -> phase (1 lsl q) cm1
+  | S q -> phase (1 lsl q) ci
+  | Sdg q -> phase (1 lsl q) cmi
+  | T q -> phase (1 lsl q) omega
+  | Tdg q -> phase (1 lsl q) omega_bar
+  | Rz (a, q) ->
+      let h = a /. 2. in
+      let bit = 1 lsl q in
+      ref_phase re im bit 0 Complex.{ re = cos h; im = -.sin h };
+      ref_phase re im bit bit Complex.{ re = cos h; im = sin h }
+  | H q -> ref_1q re im (1 lsl q) ch ch ch chm
+  | Cnot (c, t) -> ref_swap re im (1 lsl c) (1 lsl c) (1 lsl t)
+  | Cz (a, b) -> phase (mask_of [ a; b ]) cm1
+  | Swap (a, b) -> ref_swap2 re im (1 lsl a) (1 lsl b)
+  | Ccx (a, b, t) -> ref_swap re im (mask_of [ a; b ]) (mask_of [ a; b ]) (1 lsl t)
+  | Ccz (a, b, c) -> phase (mask_of [ a; b; c ]) cm1
+  | Mcx (cs, t) -> ref_swap re im (mask_of cs) (mask_of cs) (1 lsl t)
+  | Mcz qs -> phase (mask_of qs) cm1

@@ -211,6 +211,68 @@ let test_obs_totals_across_configs () =
   Alcotest.(check (list (pair string int)))
     "non-shard totals identical across shard-bits" (strip tflat) (strip t4)
 
+(* --- per-gate kernels against the per-index reference --- *)
+
+(* A gate of any kind on [n] qubits, its qubits distinct: MCX with 0-4
+   controls, MCZ on 0-4 qubits (an empty MCZ flips every sign), and
+   the kinds that need more qubits than [n] left out. *)
+let any_gate_gen n =
+  let open QCheck2.Gen in
+  let* qs = shuffle_l (List.init n Fun.id) in
+  let* angle = float_range (-3.14) 3.14 in
+  let* k = int_bound 4 in
+  let a = List.hd qs and b = List.nth qs (min 1 (n - 1)) and c = List.nth qs (min 2 (n - 1)) in
+  let first m = List.filteri (fun i _ -> i < m) qs in
+  oneofl
+    ([ Gate.X a; Gate.Y a; Gate.Z a; Gate.H a; Gate.S a; Gate.Sdg a; Gate.T a; Gate.Tdg a;
+       Gate.Rz (angle, a);
+       Gate.Mcx (List.tl (first (min (k + 1) n)), a);
+       Gate.Mcz (first (min k n)) ]
+    @ (if n >= 2 then [ Gate.Cnot (a, b); Gate.Cz (a, b); Gate.Swap (a, b) ] else [])
+    @ if n >= 3 then [ Gate.Ccx (a, b, c); Gate.Ccz (a, b, c) ] else [])
+
+(* 1-16 qubits, half of them past par_threshold (2^14 amplitudes), so
+   pools of 2 and 4 split one slab's representatives or many slabs *)
+let kernel_case_gen =
+  let open QCheck2.Gen in
+  let* n = oneof [ int_range 1 14; int_range 15 16 ] in
+  let* g = any_gate_gen n in
+  let* shard = oneofl [ None; Some 2; Some 3 ] in
+  let* jobs = oneofl [ 1; 2; 4 ] in
+  let* seed = int_bound 1_000_000 in
+  return (n, g, shard, jobs, seed)
+
+let print_kernel_case (n, g, shard, jobs, seed) =
+  Printf.sprintf "%d qubits, %s, shard bits %s, jobs %d, seed %d" n (Fmt.to_to_string Gate.pp g)
+    (match shard with Some b -> string_of_int b | None -> "auto")
+    jobs seed
+
+(* [Statevector.apply] on a random state equals the per-index reference
+   on a flat copy, bit for bit. *)
+let kernel_matches_reference (n, g, shard, jobs, seed) =
+  let st = Helpers.rng seed in
+  let size = 1 lsl n in
+  let re = Array.init size (fun _ -> Random.State.float st 2. -. 1.) in
+  let im = Array.init size (fun _ -> Random.State.float st 2. -. 1.) in
+  let s = with_shard shard (fun () -> Statevector.init n) in
+  for x = 0 to size - 1 do
+    Statevector.set_re s x re.(x);
+    Statevector.set_im s x im.(x)
+  done;
+  with_jobs jobs (fun () -> Statevector.apply s g);
+  Helpers.reference_apply re im g;
+  let bits = Int64.bits_of_float in
+  let ok = ref true in
+  for x = 0 to size - 1 do
+    if bits (Statevector.get_re s x) <> bits re.(x) || bits (Statevector.get_im s x) <> bits im.(x)
+    then ok := false
+  done;
+  !ok
+
+let prop_kernels_reference =
+  Helpers.prop "per-gate kernels = per-index reference, bit for bit" ~count:400
+    ~print:print_kernel_case kernel_case_gen kernel_matches_reference
+
 (* --- a planned run starts at its first Hadamard layer --- *)
 
 let same_bits s1 s2 =
@@ -440,6 +502,7 @@ let () =
             test_sampler_across_configs;
           Alcotest.test_case "telemetry totals" `Quick
             test_obs_totals_across_configs ] );
+      ("kernels", [ prop_kernels_reference ]);
       ( "fused-start",
         [ Alcotest.test_case "kernels folded per opening" `Quick test_fused_start_shapes;
           prop_run_is_replay;

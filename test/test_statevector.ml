@@ -89,6 +89,19 @@ let test_cz_ccz () =
   let b = Statevector.run (Circuit.of_gates 2 [ Gate.H 0; Gate.H 1; Gate.Cz (1, 0) ]) in
   Alcotest.(check bool) "cz symmetric" true (Statevector.equal_up_to_phase a b)
 
+(* the kernels index slabs without bounds checks, so [apply] refuses a
+   qubit outside the state, whichever kernel the gate would take *)
+let test_qubit_out_of_range () =
+  let s = Statevector.init 3 in
+  List.iter
+    (fun g ->
+      Alcotest.check_raises (Fmt.to_to_string Gate.pp g)
+        (Invalid_argument "Statevector.apply: qubit out of range") (fun () ->
+          Statevector.apply s g))
+    [ Gate.X 3; Gate.H (-1); Gate.T 3; Gate.Rz (0.5, 7); Gate.Cnot (0, 3); Gate.Cz (-1, 1);
+      Gate.Swap (1, 3); Gate.Ccx (0, 1, 3); Gate.Mcx ([ 0; 4 ], 1); Gate.Mcz [ 0; 1; 3 ] ];
+  Alcotest.(check bool) "state untouched" true (Statevector.is_basis_state s 0)
+
 let test_sample_deterministic () =
   let s = Statevector.init 3 in
   Statevector.apply s (Gate.X 1);
@@ -192,7 +205,8 @@ let () =
           Alcotest.test_case "sampling distribution" `Quick test_sample_distribution;
           Alcotest.test_case "most likely" `Quick test_most_likely;
           prop_norm_preserved;
-          prop_dagger_cancels ] );
+          prop_dagger_cancels;
+          Alcotest.test_case "qubit out of range" `Quick test_qubit_out_of_range ] );
       ( "unitary",
         [ Alcotest.test_case "identity" `Quick test_unitary_identity;
           Alcotest.test_case "global phase" `Quick test_unitary_global_phase;

@@ -284,6 +284,36 @@ let prop_tpar_lowered_matches_reference ~rccx_ladder =
 
 (* ---- peephole Opt ---- *)
 
+(* The fusion rule [Opt.simplify] used to share with this reference,
+   kept so the reference does not share [Opt.rewrite]: the replacement
+   of gates a then b (adjacent after commuting), which is two gates when
+   phases fuse to S·T or Z·T. *)
+let target_of_phase = function
+  | Gate.Z q | Gate.S q | Gate.Sdg q | Gate.T q | Gate.Tdg q | Gate.Rz (_, q) -> Some q
+  | _ -> None
+
+let eighths_of = function
+  | Gate.Z _ -> Some 4
+  | Gate.S _ -> Some 2
+  | Gate.Sdg _ -> Some 6
+  | Gate.T _ -> Some 1
+  | Gate.Tdg _ -> Some 7
+  | _ -> None
+
+let reference_fuse a b =
+  if Gate.equal a (Gate.adjoint b) then Some []
+  else
+    match (target_of_phase a, target_of_phase b) with
+    | Some qa, Some qb when qa = qb -> (
+        match (eighths_of a, eighths_of b) with
+        | Some ka, Some kb -> Some (Tpar.phase_gates_of ~eighths:(ka + kb) ~angle:0. qa)
+        | _ -> (
+            match (a, b) with
+            | Gate.Rz (x, _), Gate.Rz (y, _) ->
+                if Float.abs (x +. y) < 1e-12 then Some [] else Some [ Gate.Rz (x +. y, qa) ]
+            | _ -> None))
+    | _ -> None
+
 (* The restart-from-zero fixpoint [Opt.simplify] replaced, kept as the
    reference for the one-pass version: find the earliest gate i that
    commutes right (past gates on other qubits, or past phase gates on its
@@ -301,7 +331,7 @@ let reference_step gates =
        let rec probe j =
          if j >= n then ()
          else
-           match Opt.fuse gates.(i) gates.(j) with
+           match reference_fuse gates.(i) gates.(j) with
            | Some replacement when List.length replacement < 2 ->
                let out = ref [] in
                for k = n - 1 downto 0 do
@@ -314,7 +344,7 @@ let reference_step gates =
                let commutes =
                  disjoint gates.(i) gates.(j)
                  ||
-                 match (Opt.target_of_phase gates.(i), Opt.target_of_phase gates.(j)) with
+                 match (target_of_phase gates.(i), target_of_phase gates.(j)) with
                  | Some qa, Some qb -> qa = qb
                  | _ -> false
                in
